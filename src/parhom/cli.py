@@ -23,6 +23,16 @@ EXIT_GUARD = 3
 EXIT_CONSISTENCY = 4
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="parhom",
@@ -36,10 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--q", required=True, help="psi_q nodes ('-' for empty)")
     ana.add_argument("--chain-length", action="store_true",
                      help="run the Weyl reachability scan for the minimal chain length")
-    ana.add_argument("--max-k", type=int, default=32, help="chain scan cutoff (default 32)")
+    ana.add_argument("--max-k", type=_positive_int, default=32,
+                     help="chain scan cutoff (default 32)")
     ana.add_argument("--json", action="store_true", help="emit the parhom/1 JSON report")
-    ana.add_argument("--weyl-limit", type=int, default=None,
-                     help="override the Weyl enumeration guard (default 10^6)")
+    ana.add_argument("--weyl-limit", type=_positive_int, default=None,
+                     help="override the guard on Weyl and orbit sizes (default 10^6)")
 
     enu = sub.add_parser("enumerate", help="sweep all marking pairs of a type")
     enu.add_argument("--type", required=True, help="diagram string")
@@ -48,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
     enu.add_argument("--with-chains", action="store_true",
                      help="run the chain-length scan on every row")
     enu.add_argument("--format", choices=("json", "tsv"), default="tsv")
-    enu.add_argument("--max-k", type=int, default=32)
-    enu.add_argument("--weyl-limit", type=int, default=None)
+    enu.add_argument("--max-k", type=_positive_int, default=32)
+    enu.add_argument("--weyl-limit", type=_positive_int, default=None)
     return parser
 
 

@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
+import numpy as np
+
 from .dynkin import DynkinDiagram, Marking, diagram_involution_table, tree_path
 from .geometry import ParabolicPair, dim_flag
-from .rootweyl import (GuardLimitError, generate_roots, reflection_closure,
-                       resolve_weyl_limit, weyl_order)
+from .rootweyl import (GuardLimitError, generate_roots, resolve_weyl_limit,
+                       weyl_order, weyl_order_estimate)
 
 
 class ConsistencyError(RuntimeError):
@@ -141,48 +143,80 @@ class ChainAnalysis:
     complete: bool
 
 
+def _grow(mask: np.ndarray, neighbours: np.ndarray, gens: np.ndarray,
+          seeds: np.ndarray) -> np.ndarray:
+    """Add to `mask` every orbit point reachable from `seeds` by the
+    reflections in `gens` (neighbour columns); return the indices added.
+    Points of the mask outside the seeds must already be closed under
+    those reflections."""
+    added = [seeds[:0]]
+    frontier = seeds
+    while len(frontier):
+        reached = neighbours[frontier[:, None], gens].ravel()
+        reached = np.sort(reached[~mask[reached]])
+        # np.sort and a neighbour test: np.unique hashes, and is far slower
+        frontier = reached[np.diff(reached, prepend=-1) != 0]
+        mask[frontier] = True
+        added.append(frontier)
+    return np.concatenate(added)
+
+
 def chain_analysis(pair: ParabolicPair, max_k: int = 32,
                    weyl_limit=None) -> ChainAnalysis:
+    """Scan the level sets on the orbit of lambda_P, which is W/W_P.
+
+    Every S_j is a union of cosets w*W_P, so it is held as a mask over the
+    orbit points: |S_j| = popcount * |W_P|, and the largest cell dimension
+    in S_j is the largest depth in the mask.
+    """
     if max_k < 1:
         raise ValueError("max_k must be positive")
     d = pair.diagram
     order = weyl_order(d)
-    limit = resolve_weyl_limit(weyl_limit)
-    if order > limit:
-        raise GuardLimitError(order, limit)
-    rs = generate_roots(d)
     p_gens = levi_generators(d, pair.psi_p)
     q_gens = levi_generators(d, pair.psi_q)
-    outside = rs.outside_levi_indices(tuple(p_gens))
-    m = rs.num_positive
+    orbit_size = order // weyl_order_estimate(d, p_gens)
+    limit = resolve_weyl_limit(weyl_limit)
+    if orbit_size > limit:
+        raise GuardLimitError(orbit_size, limit, "orbit size |W/W_P|")
+    orbit = generate_roots(d).weight_orbit(pair.psi_p)
+    if len(orbit) != orbit_size:
+        raise ConsistencyError(
+            f"orbit of lambda_P has {len(orbit)} points, expected |W/W_P| = "
+            f"{orbit_size} on {d.type_string} psi_p={pair.psi_p.render()}")
+    stabilizer = order // orbit_size
+    nb = orbit.neighbours
+    p_cols = np.array([g - 1 for g in p_gens], dtype=np.intp)
+    q_cols = np.array([g - 1 for g in q_gens], dtype=np.intp)
 
-    def max_cell_dim(rows) -> int:
-        if not len(outside):
-            return 0
-        return int((rows[:, outside] >= m).sum(axis=1).max())
-
-    rows = reflection_closure(rs, rs.identity_row[None, :], p_gens, "left")
-    sizes = [len(rows)]
-    dims = [max_cell_dim(rows)]
+    # S_0 = W_P is the single point lambda_P, fixed by every P move
+    mask = np.zeros(orbit_size, dtype=bool)
+    mask[0] = True
+    count, top = 1, 0
+    fresh = np.zeros(1, dtype=np.intp)
+    sizes = [stabilizer]
+    dims = [0]
     minimal_n = None
     complete = False
     for j in range(1, max_k + 1):
-        grown = reflection_closure(rs, rows, q_gens, "left")
-        grown = reflection_closure(rs, grown, p_gens, "left")
-        sizes.append(len(grown))
-        dims.append(max_cell_dim(grown))
-        if len(grown) == order:
+        # the mask is P-closed, and Q-closed apart from `fresh`
+        from_q = _grow(mask, nb, q_cols, fresh)
+        fresh = np.concatenate([from_q, _grow(mask, nb, p_cols, from_q)])
+        if len(fresh):
+            count += len(fresh)
+            # depth does not decrease with the index
+            top = max(top, int(fresh.max()))
+        sizes.append(count * stabilizer)
+        dims.append(int(orbit.depth[top]))
+        if count == orbit_size:
             minimal_n = j
             complete = True
-            rows = grown
             break
-        if len(grown) == len(rows):
+        if not len(fresh):
             complete = True
-            rows = grown
             break
-        rows = grown
 
-    connected = (len(rows) == order) if complete else None
+    connected = (count == orbit_size) if complete else None
     result = ChainAnalysis(
         connected=connected,
         minimal_n=minimal_n,

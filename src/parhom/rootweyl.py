@@ -1,4 +1,5 @@
-"""Root systems and finite Weyl groups as permutations of the root list.
+"""Root systems, finite Weyl groups as permutations of the root list, and
+weight orbits.
 
 Roots are integer coordinate vectors in the simple-root basis, positives
 listed first (graded by height, then lexicographic) with negatives after
@@ -6,8 +7,12 @@ in matching order.  A Weyl element is stored as the permutation row it
 induces on that list; its canonical hash key is the tuple of images of
 the simple roots, which already determines the element.
 
-Enumeration and set products run behind a guard limit (default 10**6
-elements, env PARHOM_WEYL_LIMIT) so desk-scale runs stay desk-scale.
+The orbit of a dominant weight lambda_P = sum of the fundamental weights
+of a marking is W/W_P written out as Dynkin-label vectors, with a table of
+simple-reflection neighbours; the chain scan runs on it.
+
+Enumeration, set products and orbits run behind a guard limit (default
+10**6 elements, env PARHOM_WEYL_LIMIT) so desk-scale runs stay desk-scale.
 """
 
 from __future__ import annotations
@@ -33,11 +38,13 @@ _EXCEPTIONAL_ORDER = {
 
 
 class GuardLimitError(RuntimeError):
-    """Raised when a Weyl enumeration or product would exceed the guard."""
+    """Raised when a Weyl enumeration, product or orbit would exceed the
+    guard; `quantity` names what was counted."""
 
-    def __init__(self, estimated: int, limit: int):
+    def __init__(self, estimated: int, limit: int,
+                 quantity: str = "estimated Weyl element count"):
         super().__init__(
-            f"estimated Weyl element count {estimated} exceeds guard limit "
+            f"{quantity} {estimated} exceeds guard limit "
             f"{limit}; raise --weyl-limit or {LIMIT_ENV}")
         self.estimated = estimated
         self.limit = limit
@@ -126,7 +133,9 @@ class RootSystem:
         unit = lambda j: tuple(1 if t == j else 0 for t in range(n))
         self.simple_cols = np.array([self.root_index[unit(j)] for j in range(n)])
         self.pos_support = np.array([[x != 0 for x in c] for c in pos], dtype=bool)
+        self.cartan = np.array(cart, dtype=np.int16)
         self._outside_levi: dict[tuple[int, ...], np.ndarray] = {}
+        self._orbit: WeightOrbit | None = None
 
     def key_bytes(self, rows: np.ndarray) -> list[bytes]:
         """One hashable key per row: the images of the simple roots."""
@@ -152,8 +161,74 @@ class RootSystem:
             self._outside_levi[key] = cached
         return cached
 
+    def weight_orbit(self, marking) -> "WeightOrbit":
+        """The orbit of lambda_P for this marking.  The last one built is
+        kept, so a sweep over psi_q for one psi_p builds it once."""
+        key = tuple(Marking.of(marking))
+        if self._orbit is None or self._orbit.marking != key:
+            self._orbit = None  # release the old orbit before building
+            self._orbit = WeightOrbit(self, key)
+        return self._orbit
+
     def __repr__(self):
         return f"RootSystem({self.diagram.type_string}, |pos|={self.num_positive})"
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct rows in lexicographic order, the index of each input
+    row among them)."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    index = np.empty(len(rows), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return ordered[first], index
+
+
+class WeightOrbit:
+    """The orbit W*lambda of lambda = sum of the fundamental weights of the
+    marked nodes: one point per coset w*W_P, where W_P is generated by the
+    unmarked nodes.
+
+    A point is its Dynkin-label vector m, and the simple reflection s_i
+    maps it to m_j - m_i*C[i][j].  Points are listed level by level from
+    lambda, each level the images of the previous one under the s_i with
+    m_i > 0.  Such a move lengthens the minimal coset representative by
+    one, so `depth[x]` is that length and does not decrease with x.
+    `neighbours[x, i]` is the index of s_{i+1}*x: x itself when
+    m_{i+1} = 0, otherwise the other end of an upward move.
+    """
+
+    def __init__(self, rs: RootSystem, marking: tuple[int, ...]):
+        n = rs.diagram.n
+        # |m_j| <= <lambda, highest coroot>, at most 6 per marked node, so
+        # int16 holds the labels of any orbit that fits in memory
+        level = np.zeros((1, n), dtype=np.int16)
+        level[0, [v - 1 for v in marking]] = 1
+        # one block of neighbour rows per level, every point its own
+        # neighbour until a move says otherwise
+        blocks = [np.zeros((1, n), dtype=np.intp)]
+        start = 0
+        while True:
+            src, gen = np.nonzero(level > 0)
+            if not len(src):
+                break
+            images = level[src] - level[src, gen][:, None] * rs.cartan[gen]
+            level, dst = _distinct_rows(images)
+            nxt = start + len(blocks[-1])
+            blocks[-1][src, gen] = dst + nxt
+            ids = np.arange(nxt, nxt + len(level), dtype=np.intp)
+            block = np.repeat(ids[:, None], n, axis=1)
+            block[dst, gen] = src + start
+            blocks.append(block)
+            start = nxt
+        self.marking = marking
+        self.depth = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+        self.neighbours = np.concatenate(blocks)
+
+    def __len__(self):
+        return len(self.depth)
 
 
 @lru_cache(maxsize=None)
@@ -190,14 +265,6 @@ class WeylElement:
         if self.rs is not other.rs:
             raise ValueError("elements belong to different root systems")
         return WeylElement(self.rs, self.row[other.row])
-
-    def inverse(self) -> "WeylElement":
-        inv = np.empty_like(self.row)
-        inv[self.row] = self.rs.identity_row
-        return WeylElement(self.rs, inv)
-
-    def apply_root(self, index: int) -> int:
-        return int(self.row[index])
 
     def is_identity(self) -> bool:
         return bool((self.row == self.rs.identity_row).all())

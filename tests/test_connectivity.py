@@ -1,6 +1,8 @@
 """Reduction, connectivity, chain reachability, boundary and exception
-tables, checked against brute-force subset search and the marking criterion."""
+tables, checked against brute-force subset search, the marking criterion,
+a permutation-row chain scan and closed-form chain lengths."""
 
+import random
 from itertools import chain, combinations
 
 import pytest
@@ -9,8 +11,10 @@ from parhom import (BoundaryClass, GuardLimitError, LargerAutomorphismCase,
                     Marking, ParabolicPair, boundary_codim_class,
                     brute_force_reduction, chain_analysis,
                     connectivity_quotient, dim_flag, exception_flags,
-                    exception_notes, is_cycle_connected, is_separating,
-                    parse_diagram_spec, reduction, tree_path)
+                    exception_notes, generate_roots, is_cycle_connected,
+                    is_separating, levi_generators, parse_diagram_spec,
+                    reduction, tree_path, weyl_order)
+from parhom.rootweyl import reflection_closure
 
 
 def subsets(n):
@@ -19,6 +23,63 @@ def subsets(n):
 
 def pair_of(spec, p, q):
     return ParabolicPair(parse_diagram_spec(spec), Marking.of(p), Marking.of(q))
+
+
+# (type, cominuscule node, rank of the Hermitian symmetric space G/P)
+HERMITIAN_RANKS = (
+    [(f"A{n}", k, min(k, n + 1 - k)) for n in (5, 6) for k in range(1, n + 1)]
+    + [(f"C{n}", n, n) for n in (3, 4, 5)]
+    + [(f"B{n}", 1, 2) for n in (3, 4, 5)]
+    + [(f"D{n}", 1, 2) for n in (4, 5, 6, 7)]
+    + [(f"D{n}", n, n // 2) for n in (4, 5, 6, 7)]
+    + [("E6", 1, 2), ("E6", 6, 2), ("E7", 7, 3)])
+
+
+def permutation_chain_scan(pair, max_k=32):
+    """Reference scan on W itself: each level set S_j = W_P * W_Q * S_{j-1}
+    is held as the permutation rows of its elements.  Returns
+    (connected, minimal_n, reachable_sizes, reachable_dims, complete)."""
+    d = pair.diagram
+    order = weyl_order(d)
+    rs = generate_roots(d)
+    p_gens = levi_generators(d, pair.psi_p)
+    q_gens = levi_generators(d, pair.psi_q)
+    outside = rs.outside_levi_indices(tuple(p_gens))
+    m = rs.num_positive
+
+    def max_cell_dim(rows):
+        if not len(outside):
+            return 0
+        return int((rows[:, outside] >= m).sum(axis=1).max())
+
+    rows = reflection_closure(rs, rs.identity_row[None, :], p_gens, "left")
+    sizes = [len(rows)]
+    dims = [max_cell_dim(rows)]
+    minimal_n = None
+    complete = False
+    for j in range(1, max_k + 1):
+        grown = reflection_closure(rs, rows, q_gens, "left")
+        grown = reflection_closure(rs, grown, p_gens, "left")
+        sizes.append(len(grown))
+        dims.append(max_cell_dim(grown))
+        if len(grown) == order:
+            minimal_n = j
+            complete = True
+            rows = grown
+            break
+        if len(grown) == len(rows):
+            complete = True
+            rows = grown
+            break
+        rows = grown
+    connected = (len(rows) == order) if complete else None
+    return connected, minimal_n, sizes, dims, complete
+
+
+def scan_fields(res):
+    """The fields of a ChainAnalysis that `permutation_chain_scan` returns."""
+    return (res.connected, res.minimal_n, res.reachable_sizes, res.reachable_dims,
+            res.complete)
 
 
 class TestSeparation:
@@ -153,9 +214,46 @@ class TestChainAnalysis:
         assert res.connected is None and res.minimal_n is None
 
     def test_guard(self):
-        pair = pair_of("E7", [1], [7])
-        with pytest.raises(GuardLimitError):
+        pair = pair_of("E8", range(1, 9), [1])
+        with pytest.raises(GuardLimitError) as exc:
             chain_analysis(pair)
+        assert exc.value.estimated == 696729600
+        assert "orbit size" in str(exc.value)
+
+    @pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2", "B4", "F4", "D4", "A2xG2"])
+    def test_matches_permutation_scan_on_every_pair(self, spec):
+        d = parse_diagram_spec(spec)
+        subs = subsets(d.n)
+        for p in subs:
+            for q in subs:
+                pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+                assert scan_fields(chain_analysis(pair)) == permutation_chain_scan(pair), \
+                    (spec, p, q)
+
+    def test_matches_permutation_scan_on_e6_sample(self):
+        d = parse_diagram_spec("E6")
+        subs = subsets(d.n)
+        pairs = random.Random(0).sample([(p, q) for p in subs for q in subs], 40)
+        for p, q in pairs:
+            pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+            assert scan_fields(chain_analysis(pair)) == permutation_chain_scan(pair), (p, q)
+
+    def test_truncated_scan_matches_permutation_scan(self):
+        for p, q in [([2], [3]), ([1, 3], [2]), ([2], [1, 4])]:
+            pair = pair_of("A4", p, q)
+            for max_k in (1, 2):
+                got = scan_fields(chain_analysis(pair, max_k=max_k))
+                assert got == permutation_chain_scan(pair, max_k), (p, q, max_k)
+
+    @pytest.mark.parametrize("spec,node,rank", HERMITIAN_RANKS,
+                             ids=[f"{t}-{v}" for t, v, _ in HERMITIAN_RANKS])
+    def test_line_chains_reach_hermitian_rank(self, spec, node, rank):
+        # psi_q = the neighbours of a cominuscule psi_p makes the cycles
+        # lines; the minimal chain is then the rank of G/P
+        d = parse_diagram_spec(spec)
+        res = chain_analysis(ParabolicPair(d, Marking.of([node]),
+                                           Marking.of(d.adjacency[node])))
+        assert res.minimal_n == rank
 
     def test_sizes_monotone_and_dims_bounded(self):
         for spec in ("A3", "B3", "G2", "A1xB2"):
@@ -179,9 +277,6 @@ class TestChainAnalysis:
     def test_level_sets_left_stable_and_nested(self):
         # reconstruct the level sets by hand and check the structural
         # properties the scan relies on
-        from parhom import generate_roots, levi_generators
-        from parhom.rootweyl import reflection_closure
-
         d = parse_diagram_spec("B3")
         rs = generate_roots(d)
         p_gens = levi_generators(d, [1])

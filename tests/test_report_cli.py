@@ -111,10 +111,19 @@ class TestCliAnalyze:
         assert "unknown family" in capsys.readouterr().err
 
     def test_guard_exit3(self, capsys):
-        assert main(["analyze", "--type", "E7", "--p", "1", "--q", "7",
+        assert main(["analyze", "--type", "E8", "--p", "1,2,3,4,5,6,7,8", "--q", "1",
                      "--chain-length"]) == 3
         err = capsys.readouterr().err
-        assert "2903040" in err and "1000000" in err
+        assert "696729600" in err and "1000000" in err
+
+    @pytest.mark.parametrize("flag", ["--weyl-limit", "--max-k"])
+    @pytest.mark.parametrize("value", ["-5", "0"])
+    def test_nonpositive_limit_flags_exit2(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--type", "A3", "--p", "1", "--q", "2",
+                  "--chain-length", flag, value])
+        assert exc.value.code == 2
+        assert f"{flag}: must be at least 1, got {value}" in capsys.readouterr().err
 
     def test_raised_limit_allows_run(self, capsys):
         assert main(["analyze", "--type", "D4", "--p", "1", "--q", "3",

@@ -253,6 +253,41 @@ class TestMinCosetLength:
             assert (got == w.length) == is_minimal
 
 
+class TestWeightOrbit:
+    @pytest.mark.parametrize("spec,marking", [("A3", (2,)), ("A3", (1, 3)), ("B3", (1,)),
+                                              ("B3", (1, 2, 3)), ("G2", (1,)), ("F4", (4,)),
+                                              ("A2xG2", (1, 4)), ("A2", ())])
+    def test_depths_count_minimal_coset_lengths(self, spec, marking):
+        # one orbit point per coset w*W_P, at depth the minimal coset length
+        rs = rs_for(spec)
+        n = rs.diagram.n
+        levi = tuple(v for v in range(1, n + 1) if v not in marking)
+        stab = len(enumerate_weyl(rs, levi))
+        full = enumerate_weyl(rs, range(1, n + 1))
+        lengths = np.array([min_coset_length(w, levi) for w in full.elements()])
+        orbit = rs.weight_orbit(marking)
+        assert len(orbit) * stab == len(full)
+        assert np.array_equal(np.bincount(orbit.depth), np.bincount(lengths) // stab)
+        assert (np.diff(orbit.depth) >= 0).all()
+
+    @pytest.mark.parametrize("spec,marking", [("B3", (2,)), ("E6", (1, 3)), ("D5", (5,))])
+    def test_neighbours_are_involutions_moving_one_level(self, spec, marking):
+        orbit = rs_for(spec).weight_orbit(marking)
+        nb = orbit.neighbours
+        points = np.arange(len(orbit))[:, None]
+        assert (nb[nb, np.arange(nb.shape[1])] == points).all()
+        step = np.abs(orbit.depth[nb] - orbit.depth[points])
+        assert ((step == 1) | (nb == points)).all()
+
+    def test_last_orbit_kept(self):
+        rs = rs_for("B3")
+        first = rs.weight_orbit([1])
+        assert rs.weight_orbit(Marking.of([1])) is first
+        second = rs.weight_orbit([2])
+        assert second is not first
+        assert rs.weight_orbit([1]) is not first
+
+
 class TestProductSet:
     def test_identity_absorbs(self):
         rs = rs_for("A3")
