@@ -6,10 +6,8 @@ __version__ = "0.1.0"
 from .dynkin import (DiagramError, DynkinDiagram, Marking, SimpleFactor,
                      cartan_matrix, diagram_involution_table, induced_components,
                      parse_diagram_spec, relabel_to_standard, tree_path)
-from .rootweyl import (GuardLimitError, RootSystem, WeylElement, WeylSubset,
-                       classical_weyl_order, enumerate_weyl, generate_roots,
-                       involution_via_w0, longest_element, min_coset_length,
-                       product_set, resolve_weyl_limit, weyl_order,
+from .rootweyl import (GuardLimitError, RootSystem, classical_weyl_order,
+                       generate_roots, resolve_weyl_limit, weyl_order,
                        weyl_order_estimate)
 from .geometry import (CycleDescriptor, ParabolicPair, TowerDims,
                        cycle_descriptor, dim_flag, dual_cycle_dim, tower_dims)

@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Two subcommands: `analyze` reports on one (type, psi_p, psi_q) triple,
-`enumerate` sweeps every marking pair of a type.  Exit codes: 0 success,
-2 input parse error, 3 guard-limit breach, 4 internal consistency failure.
+`enumerate` sweeps every marking pair of a type, printing each row as it
+is built.  Exit codes: 0 success, 2 bad input (diagram, marking, flag or
+PARHOM_WEYL_LIMIT), 3 guard-limit breach or out of memory, 4 internal
+failure.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from .connectivity import ConsistencyError
 from .dynkin import DiagramError, DynkinDiagram, Marking, parse_diagram_spec
 from .report import (build_report, render_json, render_text, render_tsv_row,
                      tsv_header)
-from .rootweyl import GuardLimitError
+from .rootweyl import GuardLimitError, resolve_weyl_limit
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_GUARD = 3
-EXIT_CONSISTENCY = 4
+EXIT_INTERNAL = 4
 
 
 def _positive_int(text: str) -> int:
@@ -83,8 +85,13 @@ def _all_markings(d: DynkinDiagram) -> list[tuple[int, ...]]:
 def cmd_enumerate(args, out=None) -> int:
     out = out or sys.stdout
     d = parse_diagram_spec(args.type)
+    limit = resolve_weyl_limit(args.weyl_limit)
+    pairs = (2 ** d.n - 1) * 2 ** d.n
+    if pairs > limit:
+        raise GuardLimitError(pairs, limit, "sweep pair count")
     subsets = _all_markings(d)
-    rows = []
+    if args.format == "tsv":
+        print(tsv_header(), file=out)
     for p in subsets:
         if not p:
             continue
@@ -92,13 +99,9 @@ def cmd_enumerate(args, out=None) -> int:
             if args.nontrivial_only and (set(p) <= set(q) or not q):
                 continue
             report = build_report(d, p, q, with_chains=args.with_chains,
-                                  max_k=args.max_k, weyl_limit=args.weyl_limit)
-            rows.append(render_json(report, compact=True) if args.format == "json"
-                        else render_tsv_row(report))
-    if args.format == "tsv":
-        print(tsv_header(), file=out)
-    for row in rows:
-        print(row, file=out)
+                                  max_k=args.max_k, weyl_limit=limit)
+            print(render_json(report, compact=True) if args.format == "json"
+                  else render_tsv_row(report), file=out)
     return EXIT_OK
 
 
@@ -106,18 +109,29 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.weyl_limit = resolve_weyl_limit(args.weyl_limit)
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
         if args.command == "analyze":
             return cmd_analyze(args)
         return cmd_enumerate(args)
-    except (DiagramError, ValueError) as exc:
+    except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except GuardLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except MemoryError:
+        print("error: out of memory; lower --weyl-limit or pick a smaller input",
+              file=sys.stderr)
+        return EXIT_GUARD
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return EXIT_CONSISTENCY
+        return EXIT_INTERNAL
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

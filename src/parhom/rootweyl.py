@@ -1,18 +1,19 @@
-"""Root systems, finite Weyl groups as permutations of the root list, and
-weight orbits.
+"""Root systems, Weyl-group orders and weight orbits.
 
 Roots are integer coordinate vectors in the simple-root basis, positives
 listed first (graded by height, then lexicographic) with negatives after
-in matching order.  A Weyl element is stored as the permutation row it
-induces on that list; its canonical hash key is the tuple of images of
-the simple roots, which already determines the element.
+in matching order.  `RootSystem` also tabulates each simple reflection as
+a permutation of that list, and `reflection_closure` closes a set of such
+permutation rows under simple reflections.  The permutation model of W
+built on them is a test oracle (`tests/weyl_oracle.py`); the library
+computes on weight orbits only.
 
 The orbit of a dominant weight lambda_P = sum of the fundamental weights
 of a marking is W/W_P written out as Dynkin-label vectors, with a table of
 simple-reflection neighbours; the chain scan runs on it.
 
-Enumeration, set products and orbits run behind a guard limit (default
-10**6 elements, env PARHOM_WEYL_LIMIT) so desk-scale runs stay desk-scale.
+Orbits and closures run behind a guard limit (default 10**6 elements, env
+PARHOM_WEYL_LIMIT) so desk-scale runs stay desk-scale.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ _EXCEPTIONAL_ORDER = {
 
 
 class GuardLimitError(RuntimeError):
-    """Raised when a Weyl enumeration, product or orbit would exceed the
+    """Raised when a Weyl group, orbit, closure or sweep would exceed the
     guard; `quantity` names what was counted."""
 
     def __init__(self, estimated: int, limit: int,
@@ -51,10 +52,20 @@ class GuardLimitError(RuntimeError):
 
 
 def resolve_weyl_limit(explicit=None) -> int:
+    """`explicit` if given, else PARHOM_WEYL_LIMIT, else the default.
+    Raises ValueError when the env value is not an integer >= 1."""
     if explicit is not None:
         return int(explicit)
     env = os.environ.get(LIMIT_ENV)
-    return int(env) if env else DEFAULT_WEYL_LIMIT
+    if not env:
+        return DEFAULT_WEYL_LIMIT
+    try:
+        value = int(env)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise ValueError(f"{LIMIT_ENV} must be an integer >= 1, got {env!r}")
+    return value
 
 
 def classical_weyl_order(family: str, rank: int) -> int:
@@ -134,7 +145,6 @@ class RootSystem:
         self.simple_cols = np.array([self.root_index[unit(j)] for j in range(n)])
         self.pos_support = np.array([[x != 0 for x in c] for c in pos], dtype=bool)
         self.cartan = np.array(cart, dtype=np.int16)
-        self._outside_levi: dict[tuple[int, ...], np.ndarray] = {}
         self._orbit: WeightOrbit | None = None
 
     def key_bytes(self, rows: np.ndarray) -> list[bytes]:
@@ -148,18 +158,6 @@ class RootSystem:
         """Indices sorting rows by their key columns, lexicographically."""
         sub = rows[:, self.simple_cols]
         return np.lexsort(sub.T[::-1])
-
-    def outside_levi_indices(self, generators: tuple[int, ...]) -> np.ndarray:
-        """Positive-root indices whose support leaves the given node set."""
-        key = tuple(sorted(generators))
-        cached = self._outside_levi.get(key)
-        if cached is None:
-            inside = np.zeros(self.diagram.n, dtype=bool)
-            for v in key:
-                inside[v - 1] = True
-            cached = np.nonzero(self.pos_support[:, ~inside].any(axis=1))[0]
-            self._outside_levi[key] = cached
-        return cached
 
     def weight_orbit(self, marking) -> "WeightOrbit":
         """The orbit of lambda_P for this marking.  The last one built is
@@ -236,50 +234,6 @@ def generate_roots(d: DynkinDiagram) -> RootSystem:
     return RootSystem(d)
 
 
-class WeylElement:
-    """One Weyl group element; `row` is its permutation of the root list."""
-
-    __slots__ = ("rs", "row", "_length")
-
-    def __init__(self, rs: RootSystem, row):
-        self.rs = rs
-        self.row = np.asarray(row, dtype=rs.identity_row.dtype)
-        self._length = None
-
-    @classmethod
-    def identity(cls, rs: RootSystem) -> "WeylElement":
-        return cls(rs, rs.identity_row)
-
-    @property
-    def key(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.row[self.rs.simple_cols])
-
-    @property
-    def length(self) -> int:
-        if self._length is None:
-            m = self.rs.num_positive
-            self._length = int((self.row[:m] >= m).sum())
-        return self._length
-
-    def __mul__(self, other: "WeylElement") -> "WeylElement":
-        if self.rs is not other.rs:
-            raise ValueError("elements belong to different root systems")
-        return WeylElement(self.rs, self.row[other.row])
-
-    def is_identity(self) -> bool:
-        return bool((self.row == self.rs.identity_row).all())
-
-    def __eq__(self, other):
-        return (isinstance(other, WeylElement) and self.rs is other.rs
-                and self.key == other.key)
-
-    def __hash__(self):
-        return hash(self.key)
-
-    def __repr__(self):
-        return f"WeylElement(len={self.length}, key={self.key})"
-
-
 def reflection_closure(rs: RootSystem, rows: np.ndarray, gen_nodes,
                        side: str = "left", limit: int | None = None) -> np.ndarray:
     """Close a set of permutation rows under multiplication by the given
@@ -325,126 +279,3 @@ def reflection_closure(rs: RootSystem, rows: np.ndarray, gen_nodes,
         blocks.append(frontier)
     out = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
     return out[rs.canonical_order(out)]
-
-
-class WeylSubset:
-    """A finite set of Weyl elements, rows kept in canonical key order;
-    remembers its generating node set when it is a parabolic subgroup."""
-
-    def __init__(self, rs: RootSystem, rows: np.ndarray,
-                 generators_marking: Marking | None = None):
-        self.rs = rs
-        self.rows = rows
-        self.generators_marking = (
-            Marking.of(generators_marking) if generators_marking is not None else None)
-        self._keys: frozenset[bytes] | None = None
-
-    def key_set(self) -> frozenset[bytes]:
-        if self._keys is None:
-            self._keys = frozenset(self.rs.key_bytes(self.rows))
-        return self._keys
-
-    def elements(self):
-        for row in self.rows:
-            yield WeylElement(self.rs, row)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __contains__(self, w: WeylElement):
-        return self.rs.key_bytes(w.row[None, :])[0] in self.key_set()
-
-    def __eq__(self, other):
-        return (isinstance(other, WeylSubset) and self.rs is other.rs
-                and self.key_set() == other.key_set())
-
-    def __repr__(self):
-        gen = f", W_I gens={self.generators_marking.render()}" if self.generators_marking else ""
-        return f"WeylSubset(|{self.rs.diagram.type_string}| size={len(self)}{gen})"
-
-
-def enumerate_weyl(rs: RootSystem, generators, weyl_limit=None) -> WeylSubset:
-    """The subgroup generated by the simple reflections of the given nodes,
-    by breadth-first closure from the identity."""
-    gens = Marking.of(generators).validate_on(rs.diagram)
-    limit = resolve_weyl_limit(weyl_limit)
-    est = weyl_order_estimate(rs.diagram, gens)
-    if est > limit:
-        raise GuardLimitError(est, limit)
-    rows = reflection_closure(rs, rs.identity_row[None, :], gens, "left")
-    return WeylSubset(rs, rows, generators_marking=gens)
-
-
-def longest_element(rs: RootSystem) -> WeylElement:
-    """The unique element of length |pos roots|; found by greedily extending
-    with any simple reflection that still increases length."""
-    m = rs.num_positive
-    row = rs.identity_row.copy()
-    cols = rs.simple_cols
-    while True:
-        pos = np.nonzero(row[cols] < m)[0]
-        if not len(pos):
-            return WeylElement(rs, row)
-        row = row[rs.simple_perm[pos[0]]]
-
-
-def involution_via_w0(rs: RootSystem) -> dict[int, int]:
-    """Node permutation i -> j with a_j = -(w0 applied to a_i)."""
-    w0 = longest_element(rs)
-    m = rs.num_positive
-    col_of = {int(c): i for i, c in enumerate(rs.simple_cols)}
-    out = {}
-    for i, c in enumerate(rs.simple_cols):
-        img = int(w0.row[c])
-        if img < m:
-            raise RuntimeError("longest element does not negate a simple root")
-        out[i + 1] = col_of[img - m] + 1
-    return out
-
-
-def min_coset_length(w: WeylElement, generators, rs: RootSystem | None = None) -> int:
-    """Length of the minimal-length representative of the coset w * W_I,
-    counted as the inversions of w outside the W_I root subsystem."""
-    rs = rs or w.rs
-    gens = Marking.of(generators).validate_on(rs.diagram)
-    outside = rs.outside_levi_indices(tuple(gens))
-    if not len(outside):
-        return 0
-    return int((w.row[outside] >= rs.num_positive).sum())
-
-
-def product_set(a: WeylSubset, b: WeylSubset, weyl_limit=None) -> WeylSubset:
-    """{x*y : x in a, y in b} as a set.
-
-    When either side is a parabolic subgroup the product is computed by
-    reflection closure of the other side; otherwise pairwise.
-    """
-    if a.rs is not b.rs:
-        raise ValueError("product of subsets over different root systems")
-    rs = a.rs
-    limit = resolve_weyl_limit(weyl_limit)
-    if b.generators_marking is not None:
-        rows = reflection_closure(rs, a.rows, b.generators_marking, "right", limit=limit)
-        return WeylSubset(rs, rows)
-    if a.generators_marking is not None:
-        rows = reflection_closure(rs, b.rows, a.generators_marking, "left", limit=limit)
-        return WeylSubset(rs, rows)
-    seen: set[bytes] = set()
-    blocks = []
-    total = 0
-    for row in a.rows:
-        block = row[b.rows]
-        fresh = []
-        for i, kb in enumerate(rs.key_bytes(block)):
-            if kb not in seen:
-                seen.add(kb)
-                fresh.append(i)
-        if fresh:
-            total += len(fresh)
-            if total > limit:
-                raise GuardLimitError(total, limit)
-            blocks.append(block[fresh])
-    if not blocks:
-        return WeylSubset(rs, a.rows[:0])
-    rows = np.concatenate(blocks)
-    return WeylSubset(rs, rows[rs.canonical_order(rows)])

@@ -8,9 +8,9 @@ from itertools import chain, combinations
 
 from parhom import (Marking, ParabolicPair, brute_force_reduction,
                     chain_analysis, cycle_descriptor, diagram_involution_table,
-                    enumerate_weyl, exception_flags, generate_roots,
-                    involution_via_w0, longest_element, parse_diagram_spec,
+                    exception_flags, generate_roots, parse_diagram_spec,
                     reduction)
+from weyl_oracle import enumerate_weyl, involution_via_w0, longest_element
 
 POS_COUNT_FORMULA = {
     "A": lambda l: l * (l + 1) // 2,

@@ -15,6 +15,7 @@ from parhom import (BoundaryClass, GuardLimitError, LargerAutomorphismCase,
                     is_separating, levi_generators, parse_diagram_spec,
                     reduction, tree_path, weyl_order)
 from parhom.rootweyl import reflection_closure
+from weyl_oracle import outside_levi_indices
 
 
 def subsets(n):
@@ -44,7 +45,7 @@ def permutation_chain_scan(pair, max_k=32):
     rs = generate_roots(d)
     p_gens = levi_generators(d, pair.psi_p)
     q_gens = levi_generators(d, pair.psi_q)
-    outside = rs.outside_levi_indices(tuple(p_gens))
+    outside = outside_levi_indices(rs, tuple(p_gens))
     m = rs.num_positive
 
     def max_cell_dim(rows):

@@ -190,3 +190,68 @@ class TestCliEnumerate:
                 assert cols[7] != "-"
             else:
                 assert cols[7] == "-"
+
+
+class TestCliBoundary:
+    @pytest.mark.parametrize("value", ["-5", "0", "abc"])
+    def test_bad_env_limit_exit2(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("PARHOM_WEYL_LIMIT", value)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--type", "A3", "--p", "1", "--q", "2", "--chain-length"])
+        assert exc.value.code == 2
+        assert f"PARHOM_WEYL_LIMIT must be an integer >= 1, got {value!r}" in \
+            capsys.readouterr().err
+
+    def test_env_limit_applies(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARHOM_WEYL_LIMIT", "3")
+        assert main(["analyze", "--type", "A3", "--p", "1", "--q", "2",
+                     "--chain-length"]) == 3
+        assert "orbit size |W/W_P| 4 exceeds guard limit 3" in capsys.readouterr().err
+
+    def test_internal_value_error_exit4(self, capsys, monkeypatch):
+        def broken(*a, **kw):
+            raise ValueError("forced for the exit-code test")
+        monkeypatch.setattr("parhom.cli.build_report", broken)
+        assert main(["analyze", "--type", "A2", "--p", "1", "--q", "2"]) == 4
+        assert "internal error: forced" in capsys.readouterr().err
+
+    def test_memory_error_exit3(self, capsys, monkeypatch):
+        def broken(*a, **kw):
+            raise MemoryError
+        monkeypatch.setattr("parhom.cli.build_report", broken)
+        assert main(["enumerate", "--type", "A2"]) == 3
+        assert "out of memory" in capsys.readouterr().err
+
+
+def fail_after(calls):
+    """A build_report stand-in that delegates `calls` times, then raises."""
+    seen = []
+
+    def build(*a, **kw):
+        if len(seen) == calls:
+            raise ConsistencyError("forced after the streamed rows")
+        seen.append(1)
+        return build_report(*a, **kw)
+    return build
+
+
+class TestCliEnumerateGuard:
+    def test_pair_count_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr("parhom.cli.build_report", fail_after(0))
+        assert main(["enumerate", "--type", "A10"]) == 3
+        captured = capsys.readouterr()
+        assert "sweep pair count 1047552 exceeds guard limit 1000000" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--type", "A10", "--weyl-limit", "1047552"],
+                                      ["--type", "E8"]])
+    def test_pair_count_admitted(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr("parhom.cli.build_report", fail_after(0))
+        assert main(["enumerate", *argv]) == 4
+
+    def test_rows_streamed_before_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr("parhom.cli.build_report", fail_after(2))
+        assert main(["enumerate", "--type", "A2"]) == 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == tsv_header()
+        assert lines[1:] == [render_tsv_row(report_for("A2", [1], q)) for q in ([], [1])]

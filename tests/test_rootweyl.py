@@ -6,12 +6,13 @@ from collections import deque
 import numpy as np
 import pytest
 
-from parhom import (GuardLimitError, Marking, WeylElement, WeylSubset,
-                    classical_weyl_order, enumerate_weyl, generate_roots,
-                    induced_components, involution_via_w0,
-                    diagram_involution_table, longest_element,
-                    min_coset_length, parse_diagram_spec, product_set,
+from parhom import (GuardLimitError, Marking, classical_weyl_order,
+                    generate_roots, induced_components,
+                    diagram_involution_table, parse_diagram_spec,
                     tree_path, weyl_order)
+from weyl_oracle import (WeylElement, WeylSubset, enumerate_weyl,
+                         involution_via_w0, longest_element,
+                         min_coset_length, product_set)
 
 POS_COUNT = {
     "A": lambda l: l * (l + 1) // 2,
