@@ -3,18 +3,18 @@ cycle-connectivity and minimal chain lengths on homogeneous flag spaces."""
 
 __version__ = "0.1.0"
 
-from .dynkin import (DiagramError, DynkinDiagram, Marking, SimpleFactor,
-                     cartan_matrix, diagram_involution_table, induced_components,
+from .dynkin import (MAX_RANK, DiagramError, DynkinDiagram, Marking,
+                     RankLimitError, SimpleFactor, cartan_matrix,
+                     diagram_involution_table, induced_components,
                      parse_diagram_spec, relabel_to_standard, tree_path)
 from .rootweyl import (GuardLimitError, RootSystem, classical_weyl_order,
                        generate_roots, resolve_weyl_limit, weyl_order,
                        weyl_order_estimate)
 from .geometry import (CycleDescriptor, ParabolicPair, TowerDims,
-                       cycle_descriptor, dim_flag, dual_cycle_dim, tower_dims)
+                       cycle_descriptor, dim_flag, dual_cycle_dim)
 from .connectivity import (BoundaryClass, ChainAnalysis, ConsistencyError,
                            ExceptionFlags, LargerAutomorphismCase,
-                           NonUniqueReductionError, ReductionResult,
-                           boundary_codim_class, brute_force_reduction,
+                           ReductionResult, boundary_codim_class,
                            chain_analysis, connectivity_quotient,
                            exception_flags, exception_notes,
                            is_cycle_connected, is_separating, levi_generators,

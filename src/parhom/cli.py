@@ -3,8 +3,8 @@
 Two subcommands: `analyze` reports on one (type, psi_p, psi_q) triple,
 `enumerate` sweeps every marking pair of a type, printing each row as it
 is built.  Exit codes: 0 success, 2 bad input (diagram, marking, flag or
-PARHOM_WEYL_LIMIT), 3 guard-limit breach or out of memory, 4 internal
-failure.
+PARHOM_WEYL_LIMIT), 3 guard-limit breach, total rank over MAX_RANK or out
+of memory, 4 internal failure.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ import sys
 from itertools import chain, combinations
 
 from .connectivity import ConsistencyError
-from .dynkin import DiagramError, DynkinDiagram, Marking, parse_diagram_spec
+from .dynkin import (DiagramError, DynkinDiagram, Marking, RankLimitError,
+                     parse_diagram_spec)
 from .report import (build_report, render_json, render_text, render_tsv_row,
                      tsv_header)
 from .rootweyl import GuardLimitError, resolve_weyl_limit
@@ -119,7 +120,7 @@ def main(argv=None) -> int:
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except GuardLimitError as exc:
+    except (GuardLimitError, RankLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except MemoryError:

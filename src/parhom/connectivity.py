@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
@@ -25,10 +24,6 @@ from .rootweyl import (GuardLimitError, generate_roots, resolve_weyl_limit,
 class ConsistencyError(RuntimeError):
     """A cross-checked identity failed; indicates an implementation bug or
     a wrong theory encoding, never bad user input."""
-
-
-class NonUniqueReductionError(ConsistencyError):
-    """Brute force found no unique inclusion-minimal separating subset."""
 
 
 def levi_generators(d: DynkinDiagram, marking) -> Marking:
@@ -78,40 +73,6 @@ def reduction(pair: ParabolicPair) -> ReductionResult:
                 break
     reduced = Marking.of(kept)
     return ReductionResult(reduced, reduced == pair.psi_q, witnesses)
-
-
-def brute_force_reduction(pair: ParabolicPair) -> Marking:
-    """Independent oracle: enumerate every subset of psi_q, keep the
-    separating ones, and return the unique inclusion-minimal one.  The
-    minimum is unique iff the intersection of all separating subsets is
-    itself separating; anything else is a theory-encoding bug."""
-    qs = list(pair.psi_q)
-    if len(qs) > 20:
-        raise ValueError(f"brute force limited to |psi_q| <= 20, got {len(qs)}")
-    d = pair.diagram
-    paths = []
-    for p in pair.psi_p:
-        for q in qs:
-            path = tree_path(d, p, q)
-            if path is not None:
-                paths.append(frozenset(path))
-
-    def separating(subset: frozenset[int]) -> bool:
-        return all(path & subset for path in paths)
-
-    meet = set(qs)
-    found_any = False
-    for size in range(len(qs) + 1):
-        for combo in combinations(qs, size):
-            sub = frozenset(combo)
-            if separating(sub):
-                found_any = True
-                meet &= sub
-    if not found_any or not separating(frozenset(meet)):
-        raise NonUniqueReductionError(
-            f"no unique minimal separating subset of {pair.psi_q.render()} "
-            f"for psi_p={pair.psi_p.render()} on {d.type_string}")
-    return Marking.of(meet)
 
 
 def is_cycle_connected(pair: ParabolicPair) -> bool:

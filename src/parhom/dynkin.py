@@ -2,8 +2,9 @@
 involution, tree paths, and canonical relabeling of induced subdiagrams.
 
 Numbering is Bourbaki within each factor; product diagrams ("A2xG2")
-number nodes consecutively across factors.  The per-family edge tables
-are in the README.
+number nodes consecutively across factors.  `_factor_edges` is the one
+definition of each family's diagram (the README repeats it as a table):
+an induced subdiagram is classified by matching it against those edges.
 """
 
 from __future__ import annotations
@@ -11,11 +12,24 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 
 class DiagramError(ValueError):
     """Malformed diagram string, rank out of bounds, or invalid node id."""
+
+
+# Largest total rank of a diagram string: positive roots are built in pure
+# Python in about cubic time, and `analyze` takes about 1 s on B40 or D40.
+MAX_RANK = 40
+
+
+class RankLimitError(RuntimeError):
+    """The total rank of a diagram string exceeds MAX_RANK."""
+
+    def __init__(self, rank: str):
+        shown = rank if len(rank) <= 24 else f"{rank[:8]}...({len(rank)} digits)"
+        super().__init__(f"total rank {shown} exceeds the rank bound {MAX_RANK}")
 
 
 # Rank bounds keep the seven families non-overlapping: the low-rank
@@ -23,7 +37,7 @@ class DiagramError(ValueError):
 _RANK_MIN = {"A": 1, "B": 2, "C": 3, "D": 4, "E": 6, "F": 4, "G": 2}
 _RANK_MAX = {"E": 8, "F": 4, "G": 2}
 
-_FACTOR_RE = re.compile(r"^([A-Za-z])([0-9]+)$")
+_FACTOR_RE = re.compile(r"^([A-Za-z])0*([0-9]+)$")
 
 
 @dataclass(frozen=True)
@@ -58,33 +72,23 @@ class Edge:
     short: int | None = None
 
 
-def _factor_edges(factor: SimpleFactor, off: int) -> list[Edge]:
-    """Bourbaki edge list for one factor, nodes off+1 .. off+rank."""
-    fam, r = factor.family, factor.rank
-    path = [Edge(off + i, off + i + 1) for i in range(1, r)]
-    if fam == "A":
-        return path
-    if fam == "B":
-        # alpha_r short
-        return path[:-1] + [Edge(off + r - 1, off + r, 2, off + r)]
-    if fam == "C":
-        # alpha_r long
-        return path[:-1] + [Edge(off + r - 1, off + r, 2, off + r - 1)]
-    if fam == "D":
-        trunk = [Edge(off + i, off + i + 1) for i in range(1, r - 2)]
-        return trunk + [Edge(off + r - 2, off + r - 1), Edge(off + r - 2, off + r)]
-    if fam == "E":
-        chain = [1, 3, 4, 5, 6, 7, 8][: r - 1]
-        es = [Edge(off + chain[i], off + chain[i + 1]) for i in range(len(chain) - 1)]
-        return es + [Edge(off + 2, off + 4)]
-    if fam == "F":
-        # alpha_1, alpha_2 long; alpha_3, alpha_4 short
-        return [Edge(off + 1, off + 2), Edge(off + 2, off + 3, 2, off + 3),
-                Edge(off + 3, off + 4)]
-    if fam == "G":
-        # alpha_1 short
-        return [Edge(off + 1, off + 2, 3, off + 1)]
-    raise DiagramError(f"unknown family {fam!r}")
+@lru_cache(maxsize=None)
+def _factor_edges(factor: SimpleFactor, off: int) -> tuple[Edge, ...]:
+    """Bourbaki edges of one factor, nodes off+1 .. off+rank: the only
+    definition of each diagram, listed in the order `_orderings` relies on."""
+    r = factor.rank
+    path = [(i, i + 1, 1, None) for i in range(1, r)]  # (a, b, mult, short end)
+    local = {
+        "A": path,
+        "B": path[:-1] + [(r - 1, r, 2, r)],  # alpha_r short
+        "C": path[:-1] + [(r - 1, r, 2, r - 1)],  # alpha_r long
+        "D": path[:-1] + [(r - 2, r, 1, None)],
+        "E": [(1, 3, 1, None)] + path[2:] + [(2, 4, 1, None)],
+        "F": [(1, 2, 1, None), (2, 3, 2, 3), (3, 4, 1, None)],  # alpha_3, alpha_4 short
+        "G": [(1, 2, 3, 1)],  # alpha_1 short
+    }[factor.family]
+    return tuple(Edge(off + a, off + b, m, None if s is None else off + s)
+                 for a, b, m, s in local)
 
 
 @dataclass(frozen=True)
@@ -173,9 +177,12 @@ class Marking:
         vals = []
         for tok in text.split(","):
             tok = tok.strip()
-            if not re.fullmatch(r"[0-9]+", tok):
+            m = re.fullmatch(r"0*([0-9]+)", tok)
+            if not m:
                 raise DiagramError(f"bad marking token {tok!r} (expected integer)")
-            vals.append(int(tok))
+            if len(m.group(1)) > len(str(MAX_RANK)):
+                raise DiagramError(f"node of {len(tok)} digits out of range")
+            vals.append(int(m.group(1)))
         if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)):
             raise DiagramError(f"marking must list ascending node ids: {text!r}")
         return cls(tuple(vals))
@@ -221,20 +228,28 @@ class Marking:
 def parse_diagram_spec(text: str) -> DynkinDiagram:
     """Parse a type string like "A3" or "B2xG2" (case-insensitive).
 
+    Raises RankLimitError, before any factor is built, when the total rank
+    exceeds MAX_RANK.
+
     >>> parse_diagram_spec("a2xg2").type_string
     'A2xG2'
     """
     if not isinstance(text, str) or not text.strip():
         raise DiagramError("empty diagram string")
-    factors = []
+    pieces = []
     for piece in re.split(r"[xX]", text.strip()):
         m = _FACTOR_RE.match(piece)
         if not m:
             raise DiagramError(
                 f"syntax error in diagram string at {piece!r} "
                 f"(expected FACTOR ('x' FACTOR)*, e.g. 'A3' or 'B2xG2')")
-        factors.append(SimpleFactor(m.group(1).upper(), int(m.group(2))))
-    return DynkinDiagram(tuple(factors))
+        if len(m.group(2)) > len(str(MAX_RANK)):  # int() never sees a long string
+            raise RankLimitError(m.group(2))
+        pieces.append((m.group(1).upper(), int(m.group(2))))
+    total = sum(rank for _, rank in pieces)
+    if total > MAX_RANK:
+        raise RankLimitError(str(total))
+    return DynkinDiagram(tuple(SimpleFactor(fam, rank) for fam, rank in pieces))
 
 
 def cartan_matrix(d: DynkinDiagram) -> list[list[int]]:
@@ -321,102 +336,45 @@ def induced_components(d: DynkinDiagram, nodes) -> list[list[int]]:
     return comps
 
 
-def _walk_chain(adj: dict[int, list[int]], start: int, avoid: int | None = None) -> list[int]:
-    out, prev, cur = [start], avoid, start
-    while True:
-        nxt = [v for v in adj[cur] if v != prev]
-        if not nxt:
-            return out
-        if len(nxt) > 1:
-            raise DiagramError("induced subgraph is not of finite type")
-        prev, cur = cur, nxt[0]
-        out.append(cur)
-
-
-def _classify_component(d: DynkinDiagram, comp: list[int]):
-    """Classify one connected induced subgraph.
-
-    Returns (SimpleFactor, orderings) where each ordering lists the old node
-    ids in standard Bourbaki position (index k holds the node relabeled k+1);
-    several orderings when the target diagram has symmetries.
-    """
-    comp_set = set(comp)
-    edges = [e for e in d.edges if e.a in comp_set and e.b in comp_set]
-    adj: dict[int, list[int]] = {v: [] for v in comp}
+def _bonds(edges) -> dict[tuple[int, int], tuple[int, int]]:
+    """(u, v) -> (multiplicity, arrow) both ways; the arrow is 1 when v is
+    the short end, -1 when u is, 0 for a single bond."""
+    out = {}
     for e in edges:
-        adj[e.a].append(e.b)
-        adj[e.b].append(e.a)
+        arrow = 0 if e.short is None else (1 if e.short == e.b else -1)
+        out[e.a, e.b], out[e.b, e.a] = (e.mult, arrow), (e.mult, -arrow)
+    return out
+
+
+def _orderings(d: DynkinDiagram, comp: list[int]):
+    """(SimpleFactor, orderings) for a connected induced subgraph: one
+    ordering per isomorphism onto the factor's edge table, index i holding
+    the old node id relabeled i+1."""
+    comp_set = set(comp)
+    bonds = _bonds(e for e in d.edges if e.a in comp_set and e.b in comp_set)
     k = len(comp)
-    if k == 1:
-        return SimpleFactor("A", 1), [list(comp)]
-
-    deg = {v: len(adj[v]) for v in comp}
-    if max(deg.values()) > 3:
-        raise DiagramError("induced subgraph is not of finite type")
-
-    multi = [e for e in edges if e.mult >= 2]
-    if multi:
-        if len(multi) > 1 or max(deg.values()) > 2:
-            raise DiagramError("induced subgraph is not of finite type")
-        e = multi[0]
-        short = e.short
-        long = e.a if short == e.b else e.b
-        if e.mult == 3:
-            return SimpleFactor("G", 2), [[short, long]]
-        long_arm = _walk_chain(adj, long, avoid=short)
-        short_arm = _walk_chain(adj, short, avoid=long)
-        if len(short_arm) == 1:
-            return SimpleFactor("B", k), [long_arm[::-1] + short_arm]
-        if len(long_arm) == 1:
-            return SimpleFactor("C", k), [short_arm[::-1] + long_arm]
-        if len(long_arm) == 2 and len(short_arm) == 2:
-            return SimpleFactor("F", 4), [long_arm[::-1] + short_arm]
-        raise DiagramError("induced subgraph is not of finite type")
-
-    branch = [v for v in comp if deg[v] == 3]
-    if not branch:
-        end = min(v for v in comp if deg[v] == 1)
-        order = _walk_chain(adj, end)
-        return SimpleFactor("A", k), [order, order[::-1]]
-    if len(branch) > 1:
-        raise DiagramError("induced subgraph is not of finite type")
-    b = branch[0]
-    arms = sorted((_walk_chain(adj, nb, avoid=b) for nb in adj[b]), key=len)
-    lens = tuple(len(a) for a in arms)
-    if lens[0] == 1 and lens[1] == 1:
-        # D_k: trunk reversed, branch node, then the two fork nodes
-        trunks = [i for i, a in enumerate(arms) if len(a) == lens[2]]
-        orderings = []
-        for t in trunks:
-            forks = [arms[i] for i in range(3) if i != t]
-            for f1, f2 in (forks, forks[::-1]):
-                orderings.append(arms[t][::-1] + [b] + [f1[0], f2[0]])
-        return SimpleFactor("D", k), orderings
-    if lens == (1, 2, 2):
-        a1, p, q = arms
-        orderings = [[x[1], a1[0], x[0], b, y[0], y[1]] for x, y in ((p, q), (q, p))]
-        return SimpleFactor("E", 6), orderings
-    if lens in ((1, 2, 3), (1, 2, 4)):
-        a1, a2, a3 = arms
-        return SimpleFactor("E", k), [[a2[1], a1[0], a2[0], b] + a3]
+    for fam, lo in _RANK_MIN.items():
+        if not lo <= k <= _RANK_MAX.get(fam, k):
+            continue
+        factor = SimpleFactor(fam, k)
+        edges = _factor_edges(factor, 0)
+        want = _bonds(edges)
+        # Each edge, in table order, meets a node placed by an earlier edge
+        # (node 1 for the first): true of all seven tables, E's 2-4 included.
+        # So each edge places one new node, and as both graphs are trees on
+        # k nodes, a bijection keeping the k-1 bonds is an isomorphism.
+        maps = [{1: v} for v in comp]
+        for e in edges:
+            grown = []
+            for m in maps:
+                old, new = (e.a, e.b) if e.a in m else (e.b, e.a)
+                grown.extend({**m, new: w} for w in d.adjacency[m[old]]
+                             if w in comp_set and w not in m.values()
+                             and bonds[m[old], w] == want[old, new])
+            maps = grown
+        if maps:
+            return factor, [[m[i] for i in range(1, k + 1)] for m in maps]
     raise DiagramError("induced subgraph is not of finite type")
-
-
-def _verify_ordering(d: DynkinDiagram, factor: SimpleFactor, ordering: list[int]) -> None:
-    new_id = {old: pos + 1 for pos, old in enumerate(ordering)}
-    comp_set = set(ordering)
-    got = {}
-    for e in d.edges:
-        if e.a in comp_set and e.b in comp_set:
-            a, b = sorted((new_id[e.a], new_id[e.b]))
-            got[(a, b)] = (e.mult, new_id[e.short] if e.short else None)
-    want = {}
-    for e in _factor_edges(factor, 0):
-        a, b = sorted((e.a, e.b))
-        want[(a, b)] = (e.mult, e.short)
-    if got != want:
-        raise DiagramError(
-            f"internal error: relabeling onto {factor} does not match its edge table")
 
 
 def relabel_to_standard(d: DynkinDiagram, nodes, marking=()):
@@ -438,9 +396,8 @@ def relabel_to_standard(d: DynkinDiagram, nodes, marking=()):
         return (marks, tuple(ordering))
 
     for comp in induced_components(d, node_list):
-        factor, orderings = _classify_component(d, comp)
+        factor, orderings = _orderings(d, comp)
         best = min(orderings, key=key)
-        _verify_ordering(d, factor, best)
         for pos, old in enumerate(best):
             mapping[old] = off + pos + 1
         factors.append(factor)

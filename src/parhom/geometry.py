@@ -119,7 +119,3 @@ class TowerDims:
         if level < 0:
             raise ValueError("tower level must be non-negative")
         return level * self.level_increment
-
-
-def tower_dims(pair: ParabolicPair) -> TowerDims:
-    return TowerDims(k_cycle=cycle_descriptor(pair).dim, l_dual=dual_cycle_dim(pair))

@@ -19,7 +19,7 @@ from .connectivity import (BoundaryClass, ChainAnalysis, ConsistencyError,
                            reduction)
 from .dynkin import DynkinDiagram, Marking
 from .geometry import (CycleDescriptor, ParabolicPair, TowerDims,
-                       cycle_descriptor, dim_flag, dual_cycle_dim, tower_dims)
+                       cycle_descriptor, dim_flag, dual_cycle_dim)
 
 SCHEMA_VERSION = "parhom/1"
 
@@ -58,14 +58,16 @@ def build_report(diagram: DynkinDiagram, psi_p, psi_q, with_chains: bool = False
     warnings.extend(exception_notes(pair))
     if chains is not None and not chains.complete:
         warnings.append(f"chain analysis truncated at max_k={max_k} before stabilization")
+    cycle = cycle_descriptor(pair)
+    dual_dim = dual_cycle_dim(pair)
     report = AnalysisReport(
         pair=pair,
         dim_gp=dim_flag(d, pair.psi_p),
         dim_gq=dim_flag(d, pair.psi_q),
         dim_gpq=dim_flag(d, pair.union_marking),
-        cycle=cycle_descriptor(pair),
-        dual_dim=dual_cycle_dim(pair),
-        tower=tower_dims(pair),
+        cycle=cycle,
+        dual_dim=dual_dim,
+        tower=TowerDims(k_cycle=cycle.dim, l_dual=dual_dim),
         red=reduction(pair),
         quotient=connectivity_quotient(pair),
         criterion_connected=is_cycle_connected(pair),

@@ -6,10 +6,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines live.
 import time
 from itertools import chain, combinations
 
-from parhom import (Marking, ParabolicPair, brute_force_reduction,
-                    chain_analysis, cycle_descriptor, diagram_involution_table,
-                    exception_flags, generate_roots, parse_diagram_spec,
-                    reduction)
+from parhom import (Marking, ParabolicPair, chain_analysis, cycle_descriptor,
+                    diagram_involution_table, exception_flags, generate_roots,
+                    parse_diagram_spec, reduction)
+from reduction_oracle import brute_force_reduction
 from weyl_oracle import enumerate_weyl, involution_via_w0, longest_element
 
 POS_COUNT_FORMULA = {

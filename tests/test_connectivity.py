@@ -9,12 +9,12 @@ import pytest
 
 from parhom import (BoundaryClass, GuardLimitError, LargerAutomorphismCase,
                     Marking, ParabolicPair, boundary_codim_class,
-                    brute_force_reduction, chain_analysis,
-                    connectivity_quotient, dim_flag, exception_flags,
-                    exception_notes, generate_roots, is_cycle_connected,
-                    is_separating, levi_generators, parse_diagram_spec,
-                    reduction, tree_path, weyl_order)
+                    chain_analysis, connectivity_quotient, dim_flag,
+                    exception_flags, exception_notes, generate_roots,
+                    is_cycle_connected, is_separating, levi_generators,
+                    parse_diagram_spec, reduction, tree_path, weyl_order)
 from parhom.rootweyl import reflection_closure
+from reduction_oracle import brute_force_reduction
 from weyl_oracle import outside_levi_indices
 
 

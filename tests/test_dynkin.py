@@ -1,12 +1,19 @@
-"""Diagram layer: parsing, Cartan matrices, involution, tree paths."""
+"""Diagram layer: parsing, Cartan matrices, involution, tree paths, and
+relabeling checked against a recorded digest, the edge tables and a
+permutation brute force."""
 
+import hashlib
+import json
 from collections import deque
+from itertools import chain, combinations, permutations
+from pathlib import Path
 
 import pytest
 
-from parhom import (DiagramError, Marking, cartan_matrix,
-                    diagram_involution_table, parse_diagram_spec,
-                    relabel_to_standard, tree_path)
+from parhom import (MAX_RANK, DiagramError, Marking, RankLimitError,
+                    cartan_matrix, diagram_involution_table,
+                    parse_diagram_spec, relabel_to_standard, tree_path)
+from test_geometry import diagrams_up_to_rank
 
 FAMILIES_SAMPLE = ["A1", "A4", "B2", "B4", "C3", "C5", "D4", "D5", "E6", "E7",
                    "E8", "F4", "G2", "A2xG2", "A1xB2", "A2xA2", "B3xC3"]
@@ -66,6 +73,25 @@ class TestParse:
     def test_syntax_errors(self, bad):
         with pytest.raises(DiagramError):
             parse_diagram_spec(bad)
+
+    @pytest.mark.parametrize(
+        "spec", ["A41", "A20xB21", "E99", "A" + "9" * 20, "A" + "9" * 5000],
+        ids=["A41", "A20xB21", "E99", "20-digits", "5000-digits"])
+    def test_rank_bound(self, spec):
+        with pytest.raises(RankLimitError, match=f"exceeds the rank bound {MAX_RANK}"):
+            parse_diagram_spec(spec)
+
+    def test_rank_bound_names_the_rank(self):
+        with pytest.raises(RankLimitError, match="total rank 41 "):
+            parse_diagram_spec("A20xB21")
+        with pytest.raises(RankLimitError, match=r"rank 99999999\.\.\.\(5000 digits\)"):
+            parse_diagram_spec("A" + "9" * 5000)
+
+    def test_rank_at_bound_admitted(self):
+        assert MAX_RANK == 40
+        assert parse_diagram_spec("A40").n == 40
+        assert parse_diagram_spec("A20xB20").n == 40
+        assert parse_diagram_spec("A0040").type_string == "A40"
 
 
 class TestCartan:
@@ -231,6 +257,11 @@ class TestMarking:
         with pytest.raises(DiagramError, match="bad marking token"):
             Marking.parse("1,x")
 
+    def test_overlong_token_out_of_range(self):
+        with pytest.raises(DiagramError, match="out of range"):
+            Marking.parse("1," + "9" * 5000)
+        assert Marking.parse("0041").nodes == (41,)
+
     def test_validate_on(self):
         d = parse_diagram_spec("A3")
         with pytest.raises(DiagramError, match="node 9 out of range"):
@@ -283,3 +314,98 @@ class TestRelabel:
         sub, mapping = relabel_to_standard(d, [1, 3, 4], marking=[4])
         assert sub.type_string == "A1xB2"
         assert mapping[1] == 1 and mapping[3] == 2 and mapping[4] == 3
+
+
+# F4 is already among the rank-5 diagrams; dict.fromkeys keeps one copy
+RELABEL_SPECS = list(dict.fromkeys(
+    diagrams_up_to_rank(5) + ["D6", "D7", "E6", "E7", "E8", "F4"]))
+RELABEL_GOLDEN = Path(__file__).parent / "golden" / "relabel_sha256.json"
+
+
+def all_subsets(items):
+    return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
+
+
+def bond_set(edges, rename):
+    """Bonds as (unordered ends, multiplicity, short end) after renaming."""
+    return {(frozenset((rename[e.a], rename[e.b])), e.mult, rename.get(e.short))
+            for e in edges}
+
+
+def induced_edges(d, nodes):
+    return [e for e in d.edges if e.a in nodes and e.b in nodes]
+
+
+def is_connected(d, nodes):
+    """Oracle: plain graph search on the adjacency lists."""
+    seen, stack = {nodes[0]}, [nodes[0]]
+    while stack:
+        for w in d.adjacency[stack.pop()]:
+            if w in nodes and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(nodes)
+
+
+class TestRelabelOracles:
+    def test_matches_recorded_digest(self):
+        """Every node set and every marking within it, on every diagram of
+        total rank <= 5 plus D6, D7, E6, E7, E8 and F4: the digest of all
+        (type, mapping) results was recorded from the classifier that
+        preceded the edge-table matcher."""
+        want = json.loads(RELABEL_GOLDEN.read_text())
+        digest, calls = hashlib.sha256(), 0
+        for spec in RELABEL_SPECS:
+            d = parse_diagram_spec(spec)
+            for nodes in all_subsets(range(1, d.n + 1)):
+                for marking in all_subsets(nodes):
+                    sub, mapping = relabel_to_standard(d, nodes, marking)
+                    line = f"{spec} {nodes} {marking} {sub} {sorted(mapping.items())}\n"
+                    digest.update(line.encode())
+                    calls += 1
+        assert (len(RELABEL_SPECS), calls) == (want["diagrams"], want["calls"])
+        assert digest.hexdigest() == want["sha256"]
+
+    @pytest.mark.parametrize("spec", FAMILIES_SAMPLE)
+    def test_edges_carried_onto_edge_tables(self, spec):
+        d = parse_diagram_spec(spec)
+        for nodes in all_subsets(range(1, d.n + 1)):
+            if not nodes:
+                continue
+            for marking in all_subsets(nodes):
+                sub, mapping = relabel_to_standard(d, nodes, marking)
+                assert sorted(mapping) == list(nodes)
+                assert sorted(mapping.values()) == list(range(1, sub.n + 1))
+                identity = {v: v for v in range(1, sub.n + 1)}
+                assert (bond_set(induced_edges(d, set(nodes)), mapping)
+                        == bond_set(sub.edges, identity))
+
+    @pytest.mark.parametrize("spec", ["A6", "B6", "C6", "D6", "D7", "E6", "E7", "E8",
+                                      "F4", "G2", "A2xG2"])
+    def test_permutation_brute_force_minimum(self, spec):
+        """Components of at most 6 nodes: try every bijection onto every
+        standard diagram of that size, keep those that carry the bonds
+        exactly, and take the minimum under the documented key."""
+        d = parse_diagram_spec(spec)
+        for k in range(1, min(d.n, 6) + 1):
+            targets = []
+            for fam in "ABCDEFG":
+                try:
+                    std = parse_diagram_spec(f"{fam}{k}")
+                except DiagramError:
+                    continue
+                identity = {v: v for v in range(1, k + 1)}
+                targets.append((std.type_string, bond_set(std.edges, identity)))
+            for comp in combinations(range(1, d.n + 1), k):
+                if not is_connected(d, comp):
+                    continue
+                bonds = induced_edges(d, set(comp))
+                valid = [(name, perm) for perm in permutations(comp)
+                         for name, want in targets
+                         if bond_set(bonds, {v: i + 1 for i, v in enumerate(perm)}) == want]
+                for marking in all_subsets(comp):
+                    name, best = min(valid, key=lambda nv: (
+                        tuple(i + 1 for i, v in enumerate(nv[1]) if v in marking), nv[1]))
+                    sub, mapping = relabel_to_standard(d, comp, marking)
+                    assert sub.type_string == name
+                    assert mapping == {v: i + 1 for i, v in enumerate(best)}

@@ -4,9 +4,13 @@ from itertools import chain, combinations
 
 import pytest
 
-from parhom import (Marking, ParabolicPair, cycle_descriptor, dim_flag,
-                    dual_cycle_dim, generate_roots, parse_diagram_spec,
-                    reduction, tower_dims)
+from parhom import (Marking, ParabolicPair, TowerDims, cycle_descriptor,
+                    dim_flag, dual_cycle_dim, generate_roots,
+                    parse_diagram_spec, reduction)
+
+
+def tower_dims(pair):
+    return TowerDims(k_cycle=cycle_descriptor(pair).dim, l_dual=dual_cycle_dim(pair))
 
 
 def subsets(n):

@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from parhom import (ConsistencyError, Marking, build_report, parse_diagram_spec,
-                    render_json, render_tsv_row, report_to_dict, tsv_header,
-                    verify_report)
+from parhom import (ConsistencyError, Marking, RootSystem, build_report,
+                    parse_diagram_spec, render_json, render_tsv_row,
+                    report_to_dict, tsv_header, verify_report)
 from parhom.cli import main
 from parhom.report import TSV_COLUMNS
 
@@ -255,3 +255,33 @@ class TestCliEnumerateGuard:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == tsv_header()
         assert lines[1:] == [render_tsv_row(report_for("A2", [1], q)) for q in ([], [1])]
+
+
+class TestCliRankBound:
+    @pytest.fixture
+    def no_roots(self, monkeypatch):
+        """A refused diagram must not reach root generation."""
+        def refuse(self, diagram):
+            raise AssertionError(f"root system built for {diagram}")
+        monkeypatch.setattr(RootSystem, "__init__", refuse)
+
+    @pytest.mark.parametrize("digits", [20, 5000])
+    def test_huge_rank_analyze_exit3(self, capsys, no_roots, digits):
+        assert main(["analyze", "--type", "A" + "9" * digits, "--p", "1", "--q", "2"]) == 3
+        err = capsys.readouterr().err
+        assert "exceeds the rank bound 40" in err
+        assert "--weyl-limit" not in err
+
+    def test_huge_rank_enumerate_exit3(self, capsys, no_roots):
+        assert main(["enumerate", "--type", "A" + "9" * 5000]) == 3
+        captured = capsys.readouterr()
+        assert "exceeds the rank bound 40" in captured.err
+        assert captured.out == ""
+
+    def test_total_rank_over_bound_exit3(self, capsys, no_roots):
+        assert main(["analyze", "--type", "A20xB21", "--p", "1", "--q", "2"]) == 3
+        assert "total rank 41 exceeds the rank bound 40" in capsys.readouterr().err
+
+    def test_overlong_node_token_exit2(self, capsys):
+        assert main(["analyze", "--type", "A3", "--p", "1," + "9" * 5000, "--q", "2"]) == 2
+        assert "out of range" in capsys.readouterr().err
