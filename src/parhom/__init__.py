@@ -11,7 +11,7 @@ from .rootweyl import (GuardLimitError, RootSystem, classical_weyl_order,
                        generate_roots, resolve_weyl_limit, weyl_order,
                        weyl_order_estimate)
 from .geometry import (CycleDescriptor, ParabolicPair, TowerDims,
-                       cycle_descriptor, dim_flag, dual_cycle_dim)
+                       cycle_descriptor, dim_flag)
 from .connectivity import (BoundaryClass, ChainAnalysis, ConsistencyError,
                            ExceptionFlags, LargerAutomorphismCase,
                            ReductionResult, boundary_codim_class,

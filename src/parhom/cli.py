@@ -10,6 +10,7 @@ of memory, 4 internal failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from itertools import chain, combinations
 
@@ -27,10 +28,15 @@ EXIT_INTERNAL = 4
 
 
 def _positive_int(text: str) -> int:
+    digits = re.fullmatch(r"\s*([+-]?)0*(\d+)\s*", text)
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        value = int(digits.group(1) + digits.group(2)) if digits else int(text)
+    except ValueError:  # int() refuses over 4300 digits; count them, do not echo
+        if digits is None:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        what = "must be at least 1, got a negative" if digits.group(1) == "-" else "too large: an"
+        raise argparse.ArgumentTypeError(
+            f"{what} integer of {len(digits.group(2))} digits") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

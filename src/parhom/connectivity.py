@@ -1,6 +1,8 @@
-"""Decision procedures on marked diagram pairs: separation and reduction,
-cycle-connectivity, minimal chain length via Weyl reachability, boundary
-codimension class, and the exception tables.
+"""Decision procedures on marked diagram pairs: separation and reduction
+(read off components of the diagram, the reduction off the split
+`ParabolicPair.cycle_components` that also gives the cycle; `tree_path`
+only draws witnesses), cycle-connectivity, minimal chain length via Weyl
+reachability, boundary codimension class, and the exception tables.
 
 Subgroup convention used throughout: the Weyl subgroup attached to a
 marking is generated by the reflections of the UNMARKED nodes (the Levi
@@ -15,7 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dynkin import DynkinDiagram, Marking, diagram_involution_table, tree_path
+from .dynkin import (DynkinDiagram, Marking, diagram_involution_table,
+                     induced_components, tree_path)
 from .geometry import ParabolicPair, dim_flag
 from .rootweyl import (GuardLimitError, generate_roots, resolve_weyl_limit,
                        weyl_order, weyl_order_estimate)
@@ -34,18 +37,13 @@ def levi_generators(d: DynkinDiagram, marking) -> Marking:
 
 
 def is_separating(pair: ParabolicPair, chi) -> bool:
-    """True iff every same-factor path from a p-marked node to a q-marked
-    node passes through chi.  On a forest this is equivalent to the
-    connected-subdiagram form of the condition, since a connected subgraph
-    of a tree contains the unique path between any two of its nodes."""
+    """True iff no component of D minus chi meets both psi_p and psi_q.  On
+    a forest this is the same as "every p->q path meets chi", since two
+    nodes lie in one component of D minus chi iff their path avoids chi."""
     d = pair.diagram
-    chi_set = set(Marking.of(chi).validate_on(d))
-    for p in pair.psi_p:
-        for q in pair.psi_q:
-            path = tree_path(d, p, q)
-            if path is not None and not any(v in chi_set for v in path):
-                return False
-    return True
+    free = Marking.of(range(1, d.n + 1)).minus(Marking.of(chi).validate_on(d))
+    return not any(any(v in pair.psi_p for v in comp) and any(v in pair.psi_q for v in comp)
+                   for comp in induced_components(d, free))
 
 
 @dataclass(frozen=True)
@@ -56,22 +54,25 @@ class ReductionResult:
 
 
 def reduction(pair: ParabolicPair) -> ReductionResult:
-    """The smallest subset of psi_q separating psi_p from psi_q: exactly the
-    q-nodes that are the first q-marked node on some path from a p-node."""
+    """The smallest subset of psi_q separating psi_p from psi_q: the q in
+    psi_p and the q next to one of `pair.cycle_components`.  The witness for
+    q is its path from the smallest p that is q or in a component next to q.
+
+    >>> from parhom import parse_diagram_spec
+    >>> pair = ParabolicPair(parse_diagram_spec("A4"), [2], [1, 3, 4])
+    >>> reduction(pair).reduced_marking.nodes
+    (1, 3)
+    """
     d = pair.diagram
-    q_set = set(pair.psi_q)
-    kept, witnesses = [], {}
+    sources = [(min(v for v in comp if v in pair.psi_p), set(comp))
+               for comp in pair.cycle_components]
+    witnesses = {}
     for q in pair.psi_q:
-        for p in pair.psi_p:
-            path = tree_path(d, p, q)
-            if path is None:
-                continue
-            first_hit = next(v for v in path if v in q_set)
-            if first_hit == q:
-                kept.append(q)
-                witnesses[q] = path
-                break
-    reduced = Marking.of(kept)
+        starts = ([p for p, comp in sources if comp.intersection(d.adjacency[q])]
+                  + [q] * (q in pair.psi_p))
+        if starts:
+            witnesses[q] = tree_path(d, min(starts), q)
+    reduced = Marking.of(witnesses)
     return ReductionResult(reduced, reduced == pair.psi_q, witnesses)
 
 

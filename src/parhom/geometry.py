@@ -1,5 +1,7 @@
 """Dimension formulas for flag spaces, cycles and towers over a marked
-diagram pair, all by counting positive roots against markings.
+diagram pair, all by counting positive roots against markings.  The
+cycle Q/(Q∩P) and `connectivity.reduction` both read one split of the
+diagram, `ParabolicPair.cycle_components`.
 
 Marked nodes are the nodes removed from the Levi part, so a larger marking
 means a smaller parabolic: the empty marking is the whole group, the full
@@ -36,6 +38,13 @@ class ParabolicPair:
     @cached_property
     def intersection_marking(self) -> Marking:
         return self.psi_p.intersect(self.psi_q)
+
+    @cached_property
+    def cycle_components(self) -> tuple[tuple[int, ...], ...]:
+        """Components of D minus psi_q that meet psi_p: where the Q-cycle lives."""
+        levi = [v for v in range(1, self.diagram.n + 1) if v not in self.psi_q]
+        return tuple(tuple(comp) for comp in induced_components(self.diagram, levi)
+                     if any(v in self.psi_p for v in comp))
 
     def swapped(self) -> "ParabolicPair":
         return ParabolicPair(self.diagram, self.psi_q, self.psi_p)
@@ -79,12 +88,7 @@ def cycle_descriptor(pair: ParabolicPair) -> CycleDescriptor:
     d = pair.diagram
     dim = dim_flag(d, pair.union_marking) - dim_flag(d, pair.psi_q)
     surviving = pair.psi_p.minus(pair.psi_q)
-    levi_nodes = [v for v in range(1, d.n + 1) if v not in pair.psi_q]
-    keep: list[int] = []
-    for comp in induced_components(d, levi_nodes):
-        if set(comp) & set(surviving):
-            keep.extend(comp)
-    sub, mapping = relabel_to_standard(d, keep, marking=surviving)
+    sub, mapping = relabel_to_standard(d, sum(pair.cycle_components, ()), marking=surviving)
     return CycleDescriptor(
         type_string=sub.type_string if sub is not None else "",
         marking=Marking.of(mapping[v] for v in surviving),
@@ -92,13 +96,6 @@ def cycle_descriptor(pair: ParabolicPair) -> CycleDescriptor:
         is_point=not surviving,
         is_whole_space=not pair.psi_q,
     )
-
-
-def dual_cycle_dim(pair: ParabolicPair) -> int:
-    """Dimension of the dual cycle (the fiber-direction count on the other
-    leg of the double fibration)."""
-    d = pair.diagram
-    return dim_flag(d, pair.union_marking) - dim_flag(d, pair.psi_p)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .connectivity import (BoundaryClass, ChainAnalysis, ConsistencyError,
                            reduction)
 from .dynkin import DynkinDiagram, Marking
 from .geometry import (CycleDescriptor, ParabolicPair, TowerDims,
-                       cycle_descriptor, dim_flag, dual_cycle_dim)
+                       cycle_descriptor, dim_flag)
 
 SCHEMA_VERSION = "parhom/1"
 
@@ -58,13 +58,15 @@ def build_report(diagram: DynkinDiagram, psi_p, psi_q, with_chains: bool = False
     warnings.extend(exception_notes(pair))
     if chains is not None and not chains.complete:
         warnings.append(f"chain analysis truncated at max_k={max_k} before stabilization")
+    dim_gp = dim_flag(d, pair.psi_p)
+    dim_gpq = dim_flag(d, pair.union_marking)
+    dual_dim = dim_gpq - dim_gp
     cycle = cycle_descriptor(pair)
-    dual_dim = dual_cycle_dim(pair)
     report = AnalysisReport(
         pair=pair,
-        dim_gp=dim_flag(d, pair.psi_p),
+        dim_gp=dim_gp,
         dim_gq=dim_flag(d, pair.psi_q),
-        dim_gpq=dim_flag(d, pair.union_marking),
+        dim_gpq=dim_gpq,
         cycle=cycle,
         dual_dim=dual_dim,
         tower=TowerDims(k_cycle=cycle.dim, l_dual=dual_dim),
@@ -103,9 +105,8 @@ def verify_report(r: AnalysisReport) -> None:
     red = r.red.reduced_marking
     expect(red.issubset(pair.psi_q), "reduction containment")
     expect(is_separating(pair, red), "reduction separates")
-    re_red = reduction(ParabolicPair(d, pair.psi_p, red)).reduced_marking
-    expect(re_red == red, "reduction idempotence")
     reduced_pair = ParabolicPair(d, pair.psi_p, red)
+    expect(reduction(reduced_pair).reduced_marking == red, "reduction idempotence")
     expect(cycle_descriptor(reduced_pair).dim == r.cycle.dim, "moduli dim consistency")
 
     expect(r.quotient == pair.intersection_marking, "quotient marking")
@@ -135,14 +136,9 @@ def report_to_dict(r: AnalysisReport) -> dict:
     """Plain-dict form of the report, keys in the documented order."""
     pair = r.pair
     chains = r.chains
-    connectivity = {
-        "connected": r.criterion_connected,
-        "computed": chains is not None,
-        "complete": chains.complete if chains is not None else None,
-        "minimal_n": chains.minimal_n if chains is not None else None,
-        "reachable_sizes": chains.reachable_sizes if chains is not None else None,
-        "reachable_dims": chains.reachable_dims if chains is not None else None,
-    }
+    connectivity = {"connected": r.criterion_connected, "computed": chains is not None}
+    for key in ("complete", "minimal_n", "reachable_sizes", "reachable_dims"):
+        connectivity[key] = getattr(chains, key, None)
     case = r.flags.larger_automorphism_case
     return {
         "schema": SCHEMA_VERSION,

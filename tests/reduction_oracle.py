@@ -1,14 +1,56 @@
-"""Brute-force oracle for `parhom.connectivity.reduction`: search every
-subset of psi_q for the separating ones, sharing no code with the fast
-path beyond `tree_path`."""
+"""Oracles for `parhom.connectivity.reduction` and `is_separating`, which
+read both off a component split of the diagram:
+
+- `reduction` and `is_separating` here are the path-walking versions: they
+  run `tree_path` for every (p, q) pair and look at where each path first
+  meets psi_q or chi;
+- `brute_force_reduction` searches every subset of psi_q for the
+  separating ones, sharing no code with the fast path beyond `tree_path`.
+"""
 
 from itertools import combinations
 
-from parhom import ConsistencyError, Marking, ParabolicPair, tree_path
+from parhom import (ConsistencyError, Marking, ParabolicPair, ReductionResult,
+                    tree_path)
 
 
 class NonUniqueReductionError(ConsistencyError):
     """Brute force found no unique inclusion-minimal separating subset."""
+
+
+def is_separating(pair: ParabolicPair, chi) -> bool:
+    """True iff every same-factor path from a p-marked node to a q-marked
+    node passes through chi.  On a forest this is equivalent to the
+    connected-subdiagram form of the condition, since a connected subgraph
+    of a tree contains the unique path between any two of its nodes."""
+    d = pair.diagram
+    chi_set = set(Marking.of(chi).validate_on(d))
+    for p in pair.psi_p:
+        for q in pair.psi_q:
+            path = tree_path(d, p, q)
+            if path is not None and not any(v in chi_set for v in path):
+                return False
+    return True
+
+
+def reduction(pair: ParabolicPair) -> ReductionResult:
+    """The smallest subset of psi_q separating psi_p from psi_q: exactly the
+    q-nodes that are the first q-marked node on some path from a p-node."""
+    d = pair.diagram
+    q_set = set(pair.psi_q)
+    kept, witnesses = [], {}
+    for q in pair.psi_q:
+        for p in pair.psi_p:
+            path = tree_path(d, p, q)
+            if path is None:
+                continue
+            first_hit = next(v for v in path if v in q_set)
+            if first_hit == q:
+                kept.append(q)
+                witnesses[q] = path
+                break
+    reduced = Marking.of(kept)
+    return ReductionResult(reduced, reduced == pair.psi_q, witnesses)
 
 
 def brute_force_reduction(pair: ParabolicPair) -> Marking:

@@ -155,7 +155,7 @@ def test_criterion_6_worked_grassmannian():
         assert desc.dim == 2
         assert desc.type_string == "A2"
         assert desc.marking.nodes == (1,)  # an end of the A2 diagram
-        from parhom import dual_cycle_dim
+        from test_geometry import dual_cycle_dim
         assert dual_cycle_dim(pair) == 1
         assert reduction(pair).reduced_marking.nodes == (1,)
         res = chain_analysis(pair)

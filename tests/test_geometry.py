@@ -5,8 +5,14 @@ from itertools import chain, combinations
 import pytest
 
 from parhom import (Marking, ParabolicPair, TowerDims, cycle_descriptor,
-                    dim_flag, dual_cycle_dim, generate_roots,
-                    parse_diagram_spec, reduction)
+                    dim_flag, generate_roots, parse_diagram_spec, reduction)
+
+
+def dual_cycle_dim(pair):
+    """Dimension of the dual cycle (the fiber-direction count on the other
+    leg of the double fibration)."""
+    d = pair.diagram
+    return dim_flag(d, pair.union_marking) - dim_flag(d, pair.psi_p)
 
 
 def tower_dims(pair):

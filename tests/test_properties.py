@@ -1,0 +1,90 @@
+"""The component-split `reduction` and `is_separating` against their
+path-walking oracles, exhaustively at low rank and by Hypothesis on random
+diagrams of rank <= 8, plus reduced-pair invariance of the cycle."""
+
+import random
+from datetime import timedelta
+from itertools import chain, combinations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reduction_oracle as oracle
+from parhom import (Marking, ParabolicPair, cycle_descriptor, is_separating,
+                    parse_diagram_spec, reduction)
+from reduction_oracle import brute_force_reduction
+
+# every factor of rank <= 8, in the ranks the parser accepts
+FACTORS = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
+           + [f"C{r}" for r in range(3, 9)] + [f"D{r}" for r in range(4, 9)]
+           + ["E6", "E7", "E8", "F4", "G2"])
+
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=300,
+                             deadline=timedelta(seconds=2))
+
+
+def subsets(n):
+    return list(chain.from_iterable(combinations(range(1, n + 1), k) for k in range(n + 1)))
+
+
+@st.composite
+def diagrams(draw, max_rank=8):
+    """A diagram string of total rank <= max_rank, products included."""
+    factors, budget = [], max_rank
+    while budget and (not factors or draw(st.booleans())):
+        factor = draw(st.sampled_from([f for f in FACTORS if int(f[1:]) <= budget]))
+        factors.append(factor)
+        budget -= int(factor[1:])
+    return parse_diagram_spec("x".join(factors))
+
+
+@st.composite
+def pairs_and_chi(draw):
+    d = draw(diagrams())
+    marking = st.sets(st.integers(1, d.n)).map(Marking.of)
+    return ParabolicPair(d, draw(marking), draw(marking)), draw(marking)
+
+
+@pytest.mark.parametrize("spec", ["A4", "B4", "C4", "D5", "F4", "G2", "A2xG2", "E6"])
+def test_matches_path_walking_on_every_pair(spec):
+    """Marking, witnesses and separation agree with the path-walking code
+    on every pair; chi runs over the reduction, psi_p & psi_q, the empty
+    marking and one seeded random marking per pair."""
+    d = parse_diagram_spec(spec)
+    rng = random.Random(spec)
+    subs = subsets(d.n)
+    for p in subs:
+        for q in subs:
+            pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+            got = reduction(pair)
+            assert got == oracle.reduction(pair), (spec, p, q)
+            random_chi = [v for v in range(1, d.n + 1) if rng.random() < 0.5]
+            for chi in (got.reduced_marking, pair.intersection_marking, (), random_chi):
+                assert is_separating(pair, chi) == oracle.is_separating(pair, chi), \
+                    (spec, p, q, chi)
+
+
+@PROPERTY_SETTINGS
+@given(pairs_and_chi())
+def test_reduction_matches_oracles(case):
+    pair, _ = case
+    got = reduction(pair)
+    assert got == oracle.reduction(pair)
+    assert got.reduced_marking == brute_force_reduction(pair)
+
+
+@PROPERTY_SETTINGS
+@given(pairs_and_chi())
+def test_separation_matches_path_walking(case):
+    pair, chi = case
+    assert is_separating(pair, chi) == oracle.is_separating(pair, chi)
+
+
+@PROPERTY_SETTINGS
+@given(pairs_and_chi())
+def test_cycle_depends_only_on_the_reduction(case):
+    pair, _ = case
+    reduced = ParabolicPair(pair.diagram, pair.psi_p, reduction(pair).reduced_marking)
+    full, red = cycle_descriptor(pair), cycle_descriptor(reduced)
+    assert (full.type_string, full.marking, full.dim) == (red.type_string, red.marking, red.dim)

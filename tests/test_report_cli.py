@@ -285,3 +285,33 @@ class TestCliRankBound:
     def test_overlong_node_token_exit2(self, capsys):
         assert main(["analyze", "--type", "A3", "--p", "1," + "9" * 5000, "--q", "2"]) == 2
         assert "out of range" in capsys.readouterr().err
+
+
+class TestCliHugeInteger:
+    """int() refuses strings of over 4300 digits; the flag check must name
+    the size instead of calling the value "not an integer"."""
+
+    ARGV = {"analyze": ["analyze", "--type", "A3", "--p", "1", "--q", "2", "--chain-length"],
+            "enumerate": ["enumerate", "--type", "A2", "--with-chains"]}
+
+    @pytest.mark.parametrize("command", ["analyze", "enumerate"])
+    @pytest.mark.parametrize("flag", ["--weyl-limit", "--max-k"])
+    def test_too_large_exit2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGV[command] + [flag, "9" * 5000])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: too large: an integer of 5000 digits" in err
+        assert len(err) < 1000
+
+    @pytest.mark.parametrize("command", ["analyze", "enumerate"])
+    def test_negative_exit2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGV[command] + ["--max-k", "-" + "9" * 5000])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be at least 1, got a negative integer of 5000 digits" in err
+        assert len(err) < 1000
+
+    def test_leading_zeros_do_not_count(self, capsys):
+        assert main(self.ARGV["analyze"] + ["--max-k", "0" * 5000 + "2"]) == 0
