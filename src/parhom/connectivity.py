@@ -17,9 +17,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dynkin import (DynkinDiagram, Marking, diagram_involution_table,
-                     induced_components, tree_path)
-from .geometry import ParabolicPair, dim_flag
+from .dynkin import DynkinDiagram, Marking, diagram_involution_table, tree_path
+from .geometry import ParabolicPair, dim_flag, levi_split
 from .rootweyl import (GuardLimitError, generate_roots, resolve_weyl_limit,
                        weyl_order, weyl_order_estimate)
 
@@ -40,10 +39,9 @@ def is_separating(pair: ParabolicPair, chi) -> bool:
     """True iff no component of D minus chi meets both psi_p and psi_q.  On
     a forest this is the same as "every p->q path meets chi", since two
     nodes lie in one component of D minus chi iff their path avoids chi."""
-    d = pair.diagram
-    free = Marking.of(range(1, d.n + 1)).minus(Marking.of(chi).validate_on(d))
-    return not any(any(v in pair.psi_p for v in comp) and any(v in pair.psi_q for v in comp)
-                   for comp in induced_components(d, free))
+    p, q = set(pair.psi_p), set(pair.psi_q)
+    return not any(not p.isdisjoint(comp) and not q.isdisjoint(comp)
+                   for comp in levi_split(pair.diagram, Marking.of(chi)))
 
 
 @dataclass(frozen=True)
@@ -64,12 +62,12 @@ def reduction(pair: ParabolicPair) -> ReductionResult:
     (1, 3)
     """
     d = pair.diagram
-    sources = [(min(v for v in comp if v in pair.psi_p), set(comp))
-               for comp in pair.cycle_components]
+    psi_p = set(pair.psi_p)
+    sources = [(min(psi_p.intersection(comp)), set(comp)) for comp in pair.cycle_components]
     witnesses = {}
     for q in pair.psi_q:
-        starts = ([p for p, comp in sources if comp.intersection(d.adjacency[q])]
-                  + [q] * (q in pair.psi_p))
+        starts = ([p for p, comp in sources if not comp.isdisjoint(d.adjacency[q])]
+                  + [q] * (q in psi_p))
         if starts:
             witnesses[q] = tree_path(d, min(starts), q)
     reduced = Marking.of(witnesses)
@@ -261,13 +259,19 @@ def exception_flags(pair: ParabolicPair) -> ExceptionFlags:
 
     The tangency-rigidity table is matched on (type, psi_p, psi_q) per
     factor; the larger-automorphism table is matched on the reduction of P
-    mod Q (first matching factor wins on product diagrams).
+    mod Q (first matching factor wins on product diagrams).  That is read
+    off the split of D minus psi_p, as `reduction` reads Q mod P: the p in
+    psi_q and the p next to a component that meets psi_q.
     """
     d = pair.diagram
     mz = any(_mok_zhang_factor(fam, rank, p, q)
              for fam, rank, p, q in _local_markings(d, pair.psi_p, pair.psi_q))
 
-    p_reduced = reduction(pair.swapped()).reduced_marking
+    q_set = set(pair.psi_q)
+    near_q = {v for comp in levi_split(d, pair.psi_p) if not q_set.isdisjoint(comp)
+              for v in comp}
+    p_reduced = Marking.of(p for p in pair.psi_p
+                           if p in q_set or not near_q.isdisjoint(d.adjacency[p]))
     case = None
     for fam, rank, p, _ in _local_markings(d, p_reduced, Marking.of(())):
         if fam == "C" and p == (1,):

@@ -1,7 +1,8 @@
 """Dimension formulas for flag spaces, cycles and towers over a marked
 diagram pair, all by counting positive roots against markings.  The
 cycle Q/(Q∩P) and `connectivity.reduction` both read one split of the
-diagram, `ParabolicPair.cycle_components`.
+diagram, `ParabolicPair.cycle_components`.  The per-marking values are
+memoised in tables on the diagram's `RootSystem` (see `rootweyl`).
 
 Marked nodes are the nodes removed from the Levi part, so a larger marking
 means a smaller parabolic: the empty marking is the whole group, the full
@@ -42,23 +43,34 @@ class ParabolicPair:
     @cached_property
     def cycle_components(self) -> tuple[tuple[int, ...], ...]:
         """Components of D minus psi_q that meet psi_p: where the Q-cycle lives."""
-        levi = [v for v in range(1, self.diagram.n + 1) if v not in self.psi_q]
-        return tuple(tuple(comp) for comp in induced_components(self.diagram, levi)
-                     if any(v in self.psi_p for v in comp))
+        p = set(self.psi_p)
+        return tuple(comp for comp in levi_split(self.diagram, self.psi_q)
+                     if not p.isdisjoint(comp))
 
-    def swapped(self) -> "ParabolicPair":
-        return ParabolicPair(self.diagram, self.psi_q, self.psi_p)
+
+def levi_split(d: DynkinDiagram, psi: Marking) -> tuple[tuple[int, ...], ...]:
+    """Components of D minus the marking, as `induced_components` lists
+    them; memoised per marking on the diagram's root system."""
+    table = generate_roots(d).levi_splits
+    split = table.get(psi.nodes)
+    if split is None:
+        psi.validate_on(d)
+        free = [v for v in range(1, d.n + 1) if v not in psi.nodes]
+        split = table[psi.nodes] = tuple(map(tuple, induced_components(d, free)))
+    return split
 
 
 def dim_flag(d: DynkinDiagram, psi) -> int:
     """Complex dimension of the flag space for a marking: the number of
-    positive roots whose support meets the marked nodes."""
-    psi = Marking.of(psi).validate_on(d)
-    if not psi:
-        return 0
+    positive roots whose support meets the marked nodes.  Memoised per
+    marking on the diagram's root system."""
+    psi = Marking.of(psi)
     rs = generate_roots(d)
-    cols = [v - 1 for v in psi]
-    return int(rs.pos_support[:, cols].any(axis=1).sum())
+    dim = rs.flag_dims.get(psi.nodes)
+    if dim is None:
+        mask = sum(1 << (v - 1) for v in psi.validate_on(d))
+        dim = rs.flag_dims[psi.nodes] = sum(1 for s in rs.support_masks if s & mask)
+    return dim
 
 
 @dataclass(frozen=True)
@@ -85,13 +97,21 @@ class CycleDescriptor:
 
 
 def cycle_descriptor(pair: ParabolicPair) -> CycleDescriptor:
+    """The Q-cycle; its relabelled type and marking are memoised on
+    (cycle nodes, surviving marks), with no reference to the mapping."""
     d = pair.diagram
     dim = dim_flag(d, pair.union_marking) - dim_flag(d, pair.psi_q)
     surviving = pair.psi_p.minus(pair.psi_q)
-    sub, mapping = relabel_to_standard(d, sum(pair.cycle_components, ()), marking=surviving)
+    nodes = sum(pair.cycle_components, ())
+    table = generate_roots(d).cycles
+    cycle = table.get((nodes, surviving.nodes))
+    if cycle is None:
+        sub, mapping = relabel_to_standard(d, nodes, marking=surviving)
+        cycle = table[nodes, surviving.nodes] = (sub.type_string if sub is not None else "",
+                                                 Marking.of(mapping[v] for v in surviving))
     return CycleDescriptor(
-        type_string=sub.type_string if sub is not None else "",
-        marking=Marking.of(mapping[v] for v in surviving),
+        type_string=cycle[0],
+        marking=cycle[1],
         dim=dim,
         is_point=not surviving,
         is_whole_space=not pair.psi_q,

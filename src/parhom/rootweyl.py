@@ -119,7 +119,8 @@ def _positive_root_closure(cart, n):
 
 
 class RootSystem:
-    """Positive roots plus simple-reflection action tables for a diagram."""
+    """Positive roots plus simple-reflection action tables for a diagram,
+    and the memo tables of the per-pair functions."""
 
     def __init__(self, diagram: DynkinDiagram):
         self.diagram = diagram
@@ -143,9 +144,12 @@ class RootSystem:
         self.identity_row = np.arange(size, dtype=dtype)
         unit = lambda j: tuple(1 if t == j else 0 for t in range(n))
         self.simple_cols = np.array([self.root_index[unit(j)] for j in range(n)])
-        self.pos_support = np.array([[x != 0 for x in c] for c in pos], dtype=bool)
         self.cartan = np.array(cart, dtype=np.int16)
         self._orbit: WeightOrbit | None = None
+        # bit v-1 set iff node v is in the root's support
+        self.support_masks = tuple(sum(1 << j for j, x in enumerate(c) if x) for c in pos)
+        # memo tables of `geometry.dim_flag`, `levi_split` and `cycle_descriptor`
+        self.flag_dims, self.levi_splits, self.cycles = {}, {}, {}
 
     def key_bytes(self, rows: np.ndarray) -> list[bytes]:
         """One hashable key per row: the images of the simple roots."""

@@ -5,13 +5,24 @@ read both off a component split of the diagram:
   run `tree_path` for every (p, q) pair and look at where each path first
   meets psi_q or chi;
 - `brute_force_reduction` searches every subset of psi_q for the
-  separating ones, sharing no code with the fast path beyond `tree_path`.
+  separating ones, sharing no code with the fast path beyond `tree_path`;
+- `larger_automorphism_case` is the exception-table lookup on P mod Q taken
+  as the library's `reduction` of the swapped pair, the way
+  `connectivity.exception_flags` computed it before it read P mod Q off the
+  split of D minus psi_p.
 """
 
 from itertools import combinations
 
-from parhom import (ConsistencyError, Marking, ParabolicPair, ReductionResult,
-                    tree_path)
+import parhom
+from parhom import (ConsistencyError, LargerAutomorphismCase, Marking,
+                    ParabolicPair, ReductionResult, tree_path)
+from parhom.connectivity import _local_markings
+
+
+def swapped(pair: ParabolicPair) -> ParabolicPair:
+    """The pair with the roles of psi_p and psi_q exchanged."""
+    return ParabolicPair(pair.diagram, pair.psi_q, pair.psi_p)
 
 
 class NonUniqueReductionError(ConsistencyError):
@@ -85,3 +96,17 @@ def brute_force_reduction(pair: ParabolicPair) -> Marking:
             f"no unique minimal separating subset of {pair.psi_q.render()} "
             f"for psi_p={pair.psi_p.render()} on {d.type_string}")
     return Marking.of(meet)
+
+
+def larger_automorphism_case(pair: ParabolicPair):
+    """The larger-automorphism entry matched on P mod Q = the reduction of
+    (psi_q, psi_p); first matching factor wins."""
+    p_reduced = parhom.reduction(swapped(pair)).reduced_marking
+    for fam, rank, p, _ in _local_markings(pair.diagram, p_reduced, Marking.of(())):
+        if fam == "C" and p == (1,):
+            return LargerAutomorphismCase.ODD_SYMPLECTIC_PROJECTIVE
+        if fam == "B" and p == (rank,):
+            return LargerAutomorphismCase.SPINOR_ODD_ORTHOGONAL
+        if fam == "G" and p == (1,):
+            return LargerAutomorphismCase.G2_QUADRIC
+    return None

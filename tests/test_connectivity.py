@@ -14,7 +14,7 @@ from parhom import (BoundaryClass, GuardLimitError, LargerAutomorphismCase,
                     is_cycle_connected, is_separating, levi_generators,
                     parse_diagram_spec, reduction, tree_path, weyl_order)
 from parhom.rootweyl import reflection_closure
-from reduction_oracle import brute_force_reduction
+from reduction_oracle import brute_force_reduction, swapped
 from weyl_oracle import outside_levi_indices
 
 
@@ -301,7 +301,7 @@ class TestChainAnalysis:
                 for q in subs:
                     pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
                     n_pq = chain_analysis(pair).minimal_n
-                    n_qp = chain_analysis(pair.swapped()).minimal_n
+                    n_qp = chain_analysis(swapped(pair)).minimal_n
                     assert (n_pq is None) == (n_qp is None)
                     if n_pq is not None:
                         assert abs(n_pq - n_qp) <= 1
@@ -377,7 +377,7 @@ class TestExceptionFlags:
         assert exception_flags(pair_of("C3", [1, 3], [2])).larger_automorphism_case is None
         # a mark in a factor untouched by psi_q drops out of the reduction
         pair = pair_of("C3xA2", [1, 4], [2])
-        red_p = reduction(pair.swapped()).reduced_marking
+        red_p = reduction(swapped(pair)).reduced_marking
         assert red_p.nodes == (1,)
         assert exception_flags(pair).larger_automorphism_case \
             is LargerAutomorphismCase.ODD_SYMPLECTIC_PROJECTIVE

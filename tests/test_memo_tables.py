@@ -1,0 +1,207 @@
+"""The per-diagram memo tables on `RootSystem` (flag dimensions, splits of
+D minus a marking, relabelled cycles): the values read through them match
+oracles that share no code with them, cold and warm; bad nodes still raise;
+a table never hands out a mutable value; and whole sweeps print the recorded
+bytes, however warm the tables are."""
+
+import hashlib
+import io
+import json
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+import reduction_oracle as oracle
+from parhom import (DiagramError, Marking, ParabolicPair, cycle_descriptor,
+                    dim_flag, exception_flags, generate_roots, is_separating,
+                    parse_diagram_spec, relabel_to_standard)
+from parhom.cli import main
+from test_geometry import diagrams_up_to_rank, subsets
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path.insert(0, str(BENCH))
+
+import workloads  # noqa: E402
+
+
+def run_cli(argv) -> bytes:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue().encode()
+
+
+# -- exception flags: P mod Q off the split, against the swapped reduction --
+
+@pytest.mark.parametrize("spec", ["A4", "B4", "C4", "C5", "D5", "F4", "G2", "A2xG2", "E6"])
+def test_exception_flags_match_swapped_reduction(spec):
+    d = parse_diagram_spec(spec)
+    fired = 0
+    for p in subsets(d.n):
+        for q in subsets(d.n):
+            pair = ParabolicPair(d, p, q)
+            want = oracle.larger_automorphism_case(pair)
+            assert exception_flags(pair).larger_automorphism_case is want, (spec, p, q)
+            fired += want is not None
+    # every family with a table entry fires somewhere, so the test has teeth
+    assert fired or spec in ("A4", "D5", "F4", "E6")
+
+
+# -- dim G/P in closed form, from the Levi types ------------------------------
+
+def _levi_positive_roots(family: str, rank: int, marked: set[int]) -> int:
+    """|Phi+| of the Levi of one factor with the given local marking, summed
+    over its components by the closed forms of each type.  The factor's
+    Bourbaki diagram is written out here, apart from the library's tables."""
+    nodes = [v for v in range(1, rank + 1) if v not in marked]
+    if family == "D":
+        edges = [(i, i + 1) for i in range(1, rank - 1)] + [(rank - 2, rank)]
+    elif family == "E":
+        edges = [(1, 3), (2, 4)] + [(i, i + 1) for i in range(3, rank)]
+    else:
+        edges = [(i, i + 1) for i in range(1, rank)]
+    adj = {v: set() for v in nodes}
+    for a, b in edges:
+        if a in adj and b in adj:
+            adj[a].add(b)
+            adj[b].add(a)
+    total, seen = 0, set()
+    for start in nodes:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            for w in adj[stack.pop()] - comp:
+                comp.add(w)
+                stack.append(w)
+        seen |= comp
+        k = len(comp)
+        branch = [v for v in comp if len(adj[v]) == 3]
+        if family in "BC" and rank in comp:  # holds the double bond, or is A1 = B1
+            total += k * k
+        elif family == "F" and {2, 3} <= comp:  # B2, B3, C3 or F4
+            total += 24 if k == 4 else k * k
+        elif family == "G" and k == 2:
+            total += 6
+        elif branch:  # a fork with arms (1, 1, m): D; (1, 2, 2|3|4): E6, E7, E8
+            arms = sorted(len(_arm(adj, branch[0], w)) for w in adj[branch[0]])
+            total += {(1, 2, 2): 36, (1, 2, 3): 63, (1, 2, 4): 120}.get(
+                tuple(arms), k * (k - 1))
+        else:
+            total += k * (k + 1) // 2
+    return total
+
+
+def _arm(adj, centre, first):
+    arm, prev, v = [first], centre, first
+    while len(adj[v]) == 2:
+        prev, v = v, next(w for w in adj[v] if w != prev)
+        arm.append(v)
+    return arm
+
+
+def closed_form_dim(d, psi) -> int:
+    """dim G/P = |Phi+| - sum of |Phi+(L)| over the Levi components L."""
+    out = 0
+    for f, (lo, hi) in zip(d.factors, d.factor_spans):
+        local = {v - lo + 1 for v in psi if lo <= v <= hi}
+        out += _levi_positive_roots(f.family, f.rank, set()) \
+            - _levi_positive_roots(f.family, f.rank, local)
+    return out
+
+
+@pytest.mark.parametrize("spec", diagrams_up_to_rank(5) + ["D7", "E6", "E7", "E8"])
+def test_dim_flag_matches_closed_form_cold_and_warm(spec):
+    d = parse_diagram_spec(spec)
+    want = {p: closed_form_dim(d, p) for p in subsets(d.n)}
+    generate_roots.cache_clear()
+    assert {p: dim_flag(d, p) for p in want} == want  # every lookup a miss
+    assert len(generate_roots(d).flag_dims) == 2 ** d.n
+    assert {p: dim_flag(d, Marking.of(p)) for p in want} == want  # every one a hit
+
+
+def test_closed_form_knows_the_exceptional_groups():
+    for spec, roots in (("E6", 36), ("E7", 63), ("E8", 120), ("F4", 24), ("G2", 6),
+                        ("D7", 42), ("B5", 25), ("C4", 16), ("A5", 15)):
+        d = parse_diagram_spec(spec)
+        assert closed_form_dim(d, range(1, d.n + 1)) == roots
+
+
+# -- validation, immutability and table sizes after a warm sweep -------------
+
+@pytest.fixture(scope="module")
+def warm_e6():
+    generate_roots.cache_clear()
+    run_cli(["enumerate", "--type", "E6"])
+    return parse_diagram_spec("E6")
+
+
+def test_bad_nodes_still_raise_after_a_warm_sweep(warm_e6):
+    d = warm_e6
+    for bad in ([7], [0], [1, 7]):
+        with pytest.raises(DiagramError):
+            dim_flag(d, bad)
+        with pytest.raises(DiagramError):
+            ParabolicPair(d, bad, [1])
+        with pytest.raises(DiagramError):
+            is_separating(ParabolicPair(d, [1], [2]), bad)
+    rs = generate_roots(d)
+    for key in list(rs.flag_dims) + list(rs.levi_splits):
+        assert all(1 <= v <= d.n for v in key)
+
+
+def test_tables_stay_within_their_bounds(warm_e6):
+    rs = generate_roots(warm_e6)
+    assert len(rs.flag_dims) <= 2 ** 6
+    assert len(rs.levi_splits) <= 2 ** 6
+    assert 0 < len(rs.cycles) <= 3 ** 6
+    for type_string, marking in rs.cycles.values():
+        assert isinstance(type_string, str) and isinstance(marking, Marking)
+
+
+def test_mutating_a_relabel_mapping_leaves_the_cycle_alone(warm_e6):
+    d = warm_e6
+    pair = ParabolicPair(d, [1, 6], [3])
+    before = cycle_descriptor(pair)
+    nodes = sum(pair.cycle_components, ())
+    sub, mapping = relabel_to_standard(d, nodes, marking=pair.psi_p.minus(pair.psi_q))
+    for v in mapping:
+        mapping[v] = 99
+    mapping[100] = 1
+    after = cycle_descriptor(pair)
+    assert after == before
+    assert after.marking.nodes == tuple(
+        relabel_to_standard(d, nodes, marking=[1, 6])[1][v] for v in (1, 6))
+
+
+def test_cache_clear_drops_the_tables():
+    d = parse_diagram_spec("B3")
+    cycle_descriptor(ParabolicPair(d, [1], [2]))
+    old = generate_roots(d)
+    assert old.flag_dims and old.levi_splits and old.cycles
+    generate_roots.cache_clear()
+    fresh = generate_roots(d)
+    assert fresh is not old
+    assert not fresh.flag_dims and not fresh.levi_splits and not fresh.cycles
+
+
+# -- whole sweeps print the recorded bytes ------------------------------------
+
+RECORDED = json.loads((BENCH / "reference.json").read_text())["commands"]
+
+
+@pytest.mark.parametrize("argv", workloads.SWEEP, ids=" ".join)
+def test_sweep_matches_recorded_digest(argv):
+    got = hashlib.sha256(run_cli(argv)).hexdigest()
+    assert got == RECORDED[" ".join(argv)]
+
+
+def test_sweep_bytes_do_not_depend_on_table_state():
+    argv = ["enumerate", "--type", "B5"]
+    generate_roots.cache_clear()
+    cold = run_cli(argv)
+    assert run_cli(argv) == cold
+    generate_roots.cache_clear()
+    assert run_cli(argv) == cold

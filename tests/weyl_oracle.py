@@ -18,12 +18,18 @@ from parhom.dynkin import Marking
 from parhom.rootweyl import (GuardLimitError, RootSystem, reflection_closure,
                              resolve_weyl_limit, weyl_order_estimate)
 
+
+def pos_support(rs: RootSystem) -> np.ndarray:
+    """Boolean (positive root x node) table: node j+1 in the root's support."""
+    return np.array([[x != 0 for x in c] for c in rs.positive_roots], dtype=bool)
+
+
 def outside_levi_indices(rs: RootSystem, generators) -> np.ndarray:
     """Positive-root indices whose support leaves the given node set."""
     inside = np.zeros(rs.diagram.n, dtype=bool)
     for v in generators:
         inside[v - 1] = True
-    return np.nonzero(rs.pos_support[:, ~inside].any(axis=1))[0]
+    return np.nonzero(pos_support(rs)[:, ~inside].any(axis=1))[0]
 
 
 class WeylElement:
