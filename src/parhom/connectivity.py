@@ -19,8 +19,8 @@ import numpy as np
 
 from .dynkin import DynkinDiagram, Marking, diagram_involution_table, tree_path
 from .geometry import ParabolicPair, dim_flag, levi_split
-from .rootweyl import (GuardLimitError, generate_roots, resolve_weyl_limit,
-                       weyl_order, weyl_order_estimate)
+from .rootweyl import (GuardLimitError, generate_roots, reflection_closure,
+                       resolve_weyl_limit, weyl_order, weyl_order_estimate)
 
 
 class ConsistencyError(RuntimeError):
@@ -103,24 +103,6 @@ class ChainAnalysis:
     complete: bool
 
 
-def _grow(mask: np.ndarray, neighbours: np.ndarray, gens: np.ndarray,
-          seeds: np.ndarray) -> np.ndarray:
-    """Add to `mask` every orbit point reachable from `seeds` by the
-    reflections in `gens` (neighbour columns); return the indices added.
-    Points of the mask outside the seeds must already be closed under
-    those reflections."""
-    added = [seeds[:0]]
-    frontier = seeds
-    while len(frontier):
-        reached = neighbours[frontier[:, None], gens].ravel()
-        reached = np.sort(reached[~mask[reached]])
-        # np.sort and a neighbour test: np.unique hashes, and is far slower
-        frontier = reached[np.diff(reached, prepend=-1) != 0]
-        mask[frontier] = True
-        added.append(frontier)
-    return np.concatenate(added)
-
-
 def chain_analysis(pair: ParabolicPair, max_k: int = 32,
                    weyl_limit=None) -> ChainAnalysis:
     """Scan the level sets on the orbit of lambda_P, which is W/W_P.
@@ -160,8 +142,8 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32,
     complete = False
     for j in range(1, max_k + 1):
         # the mask is P-closed, and Q-closed apart from `fresh`
-        from_q = _grow(mask, nb, q_cols, fresh)
-        fresh = np.concatenate([from_q, _grow(mask, nb, p_cols, from_q)])
+        from_q = reflection_closure(mask, nb, q_cols, fresh)
+        fresh = np.concatenate([from_q, reflection_closure(mask, nb, p_cols, from_q)])
         if len(fresh):
             count += len(fresh)
             # depth does not decrease with the index

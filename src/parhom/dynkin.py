@@ -20,7 +20,7 @@ class DiagramError(ValueError):
 
 
 # Largest total rank of a diagram string: positive roots are built in pure
-# Python in about cubic time, and `analyze` takes about 1 s on B40 or D40.
+# Python in about cubic time, and `analyze` takes about 0.6 s on B40 or D40.
 MAX_RANK = 40
 
 
@@ -139,6 +139,14 @@ class DynkinDiagram:
     @cached_property
     def type_string(self) -> str:
         return "x".join(str(f) for f in self.factors)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.factors,))  # the value the dataclass would compute
+
+    def __hash__(self):
+        # hashed once per diagram: every `generate_roots` lookup hashes it
+        return self._hash
 
     def check_node(self, v) -> None:
         if not isinstance(v, int) or not 1 <= v <= self.n:

@@ -1,18 +1,13 @@
 """Root systems, Weyl-group orders and weight orbits.
 
-Roots are integer coordinate vectors in the simple-root basis, positives
-listed first (graded by height, then lexicographic) with negatives after
-in matching order.  `RootSystem` also tabulates each simple reflection as
-a permutation of that list, and `reflection_closure` closes a set of such
-permutation rows under simple reflections.  The permutation model of W
-built on them is a test oracle (`tests/weyl_oracle.py`); the library
-computes on weight orbits only.
+Positive roots are integer coordinate vectors in the simple-root basis,
+graded by height, then lexicographic.  The library models W/W_P as the
+orbit of the dominant weight lambda_P = sum of the fundamental weights of
+a marking: Dynkin-label vectors with a table of simple-reflection
+neighbours.  The chain scan grows masks over it with `reflection_closure`.
+The permutation model of W is a test oracle (`tests/weyl_oracle.py`).
 
-The orbit of a dominant weight lambda_P = sum of the fundamental weights
-of a marking is W/W_P written out as Dynkin-label vectors, with a table of
-simple-reflection neighbours; the chain scan runs on it.
-
-Orbits and closures run behind a guard limit (default 10**6 elements, env
+Orbits run behind a guard limit (default 10**6 points, env
 PARHOM_WEYL_LIMIT) so desk-scale runs stay desk-scale.
 """
 
@@ -119,8 +114,8 @@ def _positive_root_closure(cart, n):
 
 
 class RootSystem:
-    """Positive roots plus simple-reflection action tables for a diagram,
-    and the memo tables of the per-pair functions."""
+    """Positive roots and Cartan matrix of a diagram, the orbit of the last
+    marking asked for, and the memo tables of the per-pair functions."""
 
     def __init__(self, diagram: DynkinDiagram):
         self.diagram = diagram
@@ -128,40 +123,13 @@ class RootSystem:
         cart = cartan_matrix(diagram)
         pos = _positive_root_closure(cart, n)
         self.positive_roots = tuple(pos)
-        m = len(pos)
-        self.num_positive = m
-        roots = pos + [tuple(-x for x in c) for c in pos]
-        self.roots = tuple(roots)
-        self.root_index = {c: i for i, c in enumerate(roots)}
-
-        size = 2 * m
-        dtype = np.int16 if size < 2 ** 15 else np.int32
-        perms = np.empty((n, size), dtype=dtype)
-        for i in range(n):
-            for r, c in enumerate(roots):
-                perms[i, r] = self.root_index[_reflect(c, i, cart, n)]
-        self.simple_perm = perms
-        self.identity_row = np.arange(size, dtype=dtype)
-        unit = lambda j: tuple(1 if t == j else 0 for t in range(n))
-        self.simple_cols = np.array([self.root_index[unit(j)] for j in range(n)])
+        self.num_positive = len(pos)
         self.cartan = np.array(cart, dtype=np.int16)
         self._orbit: WeightOrbit | None = None
         # bit v-1 set iff node v is in the root's support
         self.support_masks = tuple(sum(1 << j for j, x in enumerate(c) if x) for c in pos)
         # memo tables of `geometry.dim_flag`, `levi_split` and `cycle_descriptor`
         self.flag_dims, self.levi_splits, self.cycles = {}, {}, {}
-
-    def key_bytes(self, rows: np.ndarray) -> list[bytes]:
-        """One hashable key per row: the images of the simple roots."""
-        sub = np.ascontiguousarray(rows[:, self.simple_cols])
-        step = sub.shape[1] * sub.itemsize
-        buf = sub.tobytes()
-        return [buf[i * step:(i + 1) * step] for i in range(sub.shape[0])]
-
-    def canonical_order(self, rows: np.ndarray) -> np.ndarray:
-        """Indices sorting rows by their key columns, lexicographically."""
-        sub = rows[:, self.simple_cols]
-        return np.lexsort(sub.T[::-1])
 
     def weight_orbit(self, marking) -> "WeightOrbit":
         """The orbit of lambda_P for this marking.  The last one built is
@@ -238,48 +206,20 @@ def generate_roots(d: DynkinDiagram) -> RootSystem:
     return RootSystem(d)
 
 
-def reflection_closure(rs: RootSystem, rows: np.ndarray, gen_nodes,
-                       side: str = "left", limit: int | None = None) -> np.ndarray:
-    """Close a set of permutation rows under multiplication by the given
-    simple reflections (side="left": s*w, side="right": w*s).
-
-    Deterministic: the result is returned in canonical key order.  Raises
-    GuardLimitError if the closure grows past `limit`.
-    """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    rows = np.asarray(rows)
-    if rows.ndim == 1:
-        rows = rows[None, :]
-    seen: set[bytes] = set()
-    keep = []
-    for idx, kb in enumerate(rs.key_bytes(rows)):
-        if kb not in seen:
-            seen.add(kb)
-            keep.append(idx)
-    rows = rows[keep]
-    gens = [rs.simple_perm[g - 1] for g in Marking.of(gen_nodes)]
-    blocks = [rows]
-    total = len(rows)
-    if limit is not None and total > limit:
-        raise GuardLimitError(total, limit)
-    frontier = rows
-    while len(frontier) and gens:
-        if side == "left":
-            cand = np.concatenate([g[frontier] for g in gens])
-        else:
-            cand = np.concatenate([frontier[:, g] for g in gens])
-        fresh = []
-        for idx, kb in enumerate(rs.key_bytes(cand)):
-            if kb not in seen:
-                seen.add(kb)
-                fresh.append(idx)
-        if not fresh:
-            break
-        frontier = cand[fresh]
-        total += len(frontier)
-        if limit is not None and total > limit:
-            raise GuardLimitError(total, limit)
-        blocks.append(frontier)
-    out = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
-    return out[rs.canonical_order(out)]
+# bench/tracer.py times the chain scan's closures by wrapping this name
+def reflection_closure(mask: np.ndarray, neighbours: np.ndarray, gens: np.ndarray,
+                       seeds: np.ndarray) -> np.ndarray:
+    """Add to `mask` every orbit point reachable from `seeds` by the
+    reflections in `gens` (neighbour columns); return the indices added.
+    Points of the mask outside the seeds must already be closed under
+    those reflections."""
+    added = [seeds[:0]]
+    frontier = seeds
+    while len(frontier):
+        reached = neighbours[frontier[:, None], gens].ravel()
+        reached = np.sort(reached[~mask[reached]])
+        # np.sort and a neighbour test: np.unique hashes, and is far slower
+        frontier = reached[np.diff(reached, prepend=-1) != 0]
+        mask[frontier] = True
+        added.append(frontier)
+    return np.concatenate(added)

@@ -2,8 +2,12 @@
 (`bench/tracer.py` TARGETS).  Every target must still resolve, and every
 call the CLI makes to one must pass through its wrapper."""
 
+import io
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
+
+import parhom.cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -13,3 +17,21 @@ import workloads  # noqa: E402
 
 def test_tracer_covers_every_target():
     assert tracer.coverage_check(list(workloads.COVERAGE_ARGV)) == []
+
+
+def traced_calls(argv):
+    """Per-target call counts of one traced CLI run."""
+    spans = tracer.Tracer()
+    spans.install()
+    try:
+        with redirect_stdout(io.StringIO()):
+            assert parhom.cli.main(argv) == 0
+    finally:
+        spans.uninstall()
+    return spans.calls
+
+
+def test_chain_scans_run_through_the_traced_closure():
+    name = "rootweyl.reflection_closure"
+    assert traced_calls(list(workloads.COVERAGE_ARGV))[name] >= 1
+    assert traced_calls(["enumerate", "--type", "A3"])[name] == 0

@@ -13,9 +13,8 @@ from parhom import (BoundaryClass, GuardLimitError, LargerAutomorphismCase,
                     exception_flags, exception_notes, generate_roots,
                     is_cycle_connected, is_separating, levi_generators,
                     parse_diagram_spec, reduction, tree_path, weyl_order)
-from parhom.rootweyl import reflection_closure
 from reduction_oracle import brute_force_reduction, swapped
-from weyl_oracle import outside_levi_indices
+from weyl_oracle import outside_levi_indices, perm_tables, permutation_closure
 
 
 def subsets(n):
@@ -53,14 +52,14 @@ def permutation_chain_scan(pair, max_k=32):
             return 0
         return int((rows[:, outside] >= m).sum(axis=1).max())
 
-    rows = reflection_closure(rs, rs.identity_row[None, :], p_gens, "left")
+    rows = permutation_closure(rs, perm_tables(rs).identity_row[None, :], p_gens, "left")
     sizes = [len(rows)]
     dims = [max_cell_dim(rows)]
     minimal_n = None
     complete = False
     for j in range(1, max_k + 1):
-        grown = reflection_closure(rs, rows, q_gens, "left")
-        grown = reflection_closure(rs, grown, p_gens, "left")
+        grown = permutation_closure(rs, rows, q_gens, "left")
+        grown = permutation_closure(rs, grown, p_gens, "left")
         sizes.append(len(grown))
         dims.append(max_cell_dim(grown))
         if len(grown) == order:
@@ -282,15 +281,16 @@ class TestChainAnalysis:
         rs = generate_roots(d)
         p_gens = levi_generators(d, [1])
         q_gens = levi_generators(d, [3])
-        level = reflection_closure(rs, rs.identity_row[None, :], p_gens, "left")
-        prev_keys = set(rs.key_bytes(level))
+        t = perm_tables(rs)
+        level = permutation_closure(rs, t.identity_row[None, :], p_gens, "left")
+        prev_keys = set(t.key_bytes(level))
         for _ in range(3):
-            level = reflection_closure(rs, level, q_gens, "left")
-            level = reflection_closure(rs, level, p_gens, "left")
-            keys = set(rs.key_bytes(level))
+            level = permutation_closure(rs, level, q_gens, "left")
+            level = permutation_closure(rs, level, p_gens, "left")
+            keys = set(t.key_bytes(level))
             assert prev_keys <= keys
-            stable = reflection_closure(rs, level, p_gens, "left")
-            assert set(rs.key_bytes(stable)) == keys
+            stable = permutation_closure(rs, level, p_gens, "left")
+            assert set(t.key_bytes(stable)) == keys
             prev_keys = keys
 
     def test_transposed_order_differs_by_at_most_one(self):

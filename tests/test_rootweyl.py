@@ -2,17 +2,19 @@
 word-length BFS, and brute-force coset minima."""
 
 from collections import deque
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from parhom import (GuardLimitError, Marking, classical_weyl_order,
                     generate_roots, induced_components,
-                    diagram_involution_table, parse_diagram_spec,
-                    tree_path, weyl_order)
+                    diagram_involution_table, levi_generators,
+                    parse_diagram_spec, tree_path, weyl_order)
+from parhom.rootweyl import reflection_closure
 from weyl_oracle import (WeylElement, WeylSubset, enumerate_weyl,
                          involution_via_w0, longest_element,
-                         min_coset_length, product_set)
+                         min_coset_length, perm_tables, product_set)
 
 POS_COUNT = {
     "A": lambda l: l * (l + 1) // 2,
@@ -32,13 +34,14 @@ def rs_for(spec):
 def word_length_bfs(rs):
     """Oracle: length of every element as BFS depth in the Cayley graph."""
     n = rs.diagram.n
-    gens = [rs.simple_perm[i] for i in range(n)]
-    start = tuple(rs.identity_row)
+    t = perm_tables(rs)
+    gens = [t.simple_perm[i] for i in range(n)]
+    start = tuple(t.identity_row)
     depth = {start: 0}
     dq = deque([start])
     while dq:
         row = dq.popleft()
-        arr = np.array(row, dtype=rs.identity_row.dtype)
+        arr = np.array(row, dtype=t.identity_row.dtype)
         for g in gens:
             nxt = tuple(arr[g])
             if nxt not in depth:
@@ -75,7 +78,7 @@ class TestRoots:
     def test_root_sign_and_support_invariants(self, spec):
         rs = rs_for(spec)
         d = rs.diagram
-        for c in rs.roots:
+        for c in perm_tables(rs).roots:
             assert all(x >= 0 for x in c) or all(x <= 0 for x in c)
         for c in rs.positive_roots:
             support = [i + 1 for i, x in enumerate(c) if x != 0]
@@ -92,8 +95,9 @@ class TestRoots:
     def test_negative_half_mirrors_positive(self):
         rs = rs_for("C3")
         m = rs.num_positive
+        roots = perm_tables(rs).roots
         for i in range(m):
-            assert rs.roots[m + i] == tuple(-x for x in rs.roots[i])
+            assert roots[m + i] == tuple(-x for x in roots[i])
 
 
 class TestSimpleReflections:
@@ -101,10 +105,11 @@ class TestSimpleReflections:
     def test_involutive_and_permutes_other_positives(self, spec):
         rs = rs_for(spec)
         m = rs.num_positive
+        t = perm_tables(rs)
         for i in range(rs.diagram.n):
-            perm = rs.simple_perm[i]
-            assert (perm[perm] == rs.identity_row).all()
-            col = int(rs.simple_cols[i])
+            perm = t.simple_perm[i]
+            assert (perm[perm] == t.identity_row).all()
+            col = int(t.simple_cols[i])
             assert perm[col] == col + m  # alpha_i -> -alpha_i
             others = [p for p in range(m) if p != col]
             assert sorted(int(perm[p]) for p in others) == others
@@ -159,7 +164,8 @@ class TestEnumerate:
     def test_subgroup_closed_under_generators(self):
         rs = rs_for("B3")
         sub = enumerate_weyl(rs, [1, 2])
-        gens = [WeylElement(rs, rs.simple_perm[i - 1][rs.identity_row]) for i in (1, 2)]
+        t = perm_tables(rs)
+        gens = [WeylElement(rs, t.simple_perm[i - 1][t.identity_row]) for i in (1, 2)]
         for w in sub.elements():
             for g in gens:
                 assert (g * w) in sub and (w * g) in sub
@@ -180,7 +186,7 @@ class TestLengthAndLongest:
         rs = rs_for("A1")
         w0 = longest_element(rs)
         assert w0.length == 1
-        assert (w0.row == rs.simple_perm[0]).all()
+        assert (w0.row == perm_tables(rs).simple_perm[0]).all()
 
     def test_a3_longest_length(self):
         assert longest_element(rs_for("A3")).length == 6
@@ -234,8 +240,9 @@ class TestMinCosetLength:
 
     def test_empty_subset_is_length(self):
         rs = rs_for("A2")
-        s1 = WeylElement(rs, rs.simple_perm[0][rs.identity_row])
-        s2 = WeylElement(rs, rs.simple_perm[1][rs.identity_row])
+        t = perm_tables(rs)
+        s1 = WeylElement(rs, t.simple_perm[0][t.identity_row])
+        s2 = WeylElement(rs, t.simple_perm[1][t.identity_row])
         w = s1 * s2
         assert min_coset_length(w, ()) == 2 == w.length
 
@@ -287,6 +294,67 @@ class TestWeightOrbit:
         second = rs.weight_orbit([2])
         assert second is not first
         assert rs.weight_orbit([1]) is not first
+
+
+def neighbour_bfs(orbit, gens, seeds):
+    """Oracle: the orbit points reached from `seeds` along the neighbour
+    columns `gens`, seeds excluded."""
+    seen = set(seeds)
+    queue = deque(seeds)
+    while queue:
+        x = queue.popleft()
+        for g in gens:
+            y = int(orbit.neighbours[x, g])
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen - set(seeds)
+
+
+def close_from(orbit, gens, seeds):
+    """(the indices `reflection_closure` adds, the mask it leaves) when the
+    mask starts as just the seeds."""
+    mask = np.zeros(len(orbit), dtype=bool)
+    seeds = np.array(sorted(set(seeds)), dtype=np.intp)
+    mask[seeds] = True
+    added = reflection_closure(mask, orbit.neighbours, np.array(gens, dtype=np.intp), seeds)
+    return added, mask
+
+
+ORBIT_MARKINGS = [("A4", (2,)), ("A4", (1, 3)), ("B3", (1,)), ("B3", (3,)),
+                  ("D5", (1,)), ("D5", (5,)), ("D5", (2, 4)), ("G2", (1,)),
+                  ("G2", (1, 2)), ("E6", (1,)), ("E6", (1, 6))]
+
+
+class TestOrbitReflectionClosure:
+    @pytest.mark.parametrize("spec,marking", ORBIT_MARKINGS)
+    def test_all_generators_add_every_other_point_once(self, spec, marking):
+        orbit = rs_for(spec).weight_orbit(marking)
+        added, mask = close_from(orbit, range(orbit.neighbours.shape[1]), [0])
+        assert sorted(added.tolist()) == list(range(1, len(orbit)))
+        assert mask.all()
+
+    @pytest.mark.parametrize("spec,marking", ORBIT_MARKINGS)
+    def test_levi_generators_fix_lambda(self, spec, marking):
+        rs = rs_for(spec)
+        orbit = rs.weight_orbit(marking)
+        levi = [g - 1 for g in levi_generators(rs.diagram, marking)]
+        added, mask = close_from(orbit, levi, [0])
+        assert len(added) == 0
+        assert mask.tolist() == [True] + [False] * (len(orbit) - 1)
+
+    @pytest.mark.parametrize("spec,marking", ORBIT_MARKINGS)
+    def test_every_generator_set_matches_bfs(self, spec, marking):
+        orbit = rs_for(spec).weight_orbit(marking)
+        n = orbit.neighbours.shape[1]
+        for seeds in ([0], [len(orbit) // 2, len(orbit) - 1]):
+            for k in range(n + 1):
+                for gens in combinations(range(n), k):
+                    added, mask = close_from(orbit, gens, seeds)
+                    expected = neighbour_bfs(orbit, gens, seeds)
+                    assert len(added) == len(expected)
+                    assert set(added.tolist()) == expected
+                    assert set(np.nonzero(mask)[0].tolist()) == expected | set(seeds)
 
 
 class TestProductSet:

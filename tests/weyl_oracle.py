@@ -1,10 +1,11 @@
 """Test oracle: the permutation model of a Weyl group.
 
-An element is the permutation row it induces on the root list of a
-`parhom.rootweyl.RootSystem` (positives first, negatives after in matching
-order); its canonical hash key is the tuple of images of the simple roots,
-which already determines the element.  Subsets are closed under simple
-reflections with `parhom.rootweyl.reflection_closure`.
+`perm_tables(rs)` lists the roots of a `parhom.rootweyl.RootSystem`
+(positives first, negatives after in matching order) and tabulates each
+simple reflection as a permutation of that list.  An element is the
+permutation row it induces on the root list; its canonical hash key is the
+tuple of images of the simple roots, which already determines the element.
+Subsets are closed under simple reflections with `permutation_closure`.
 
 The library computes with weight orbits only; the tests check those
 results, and the Weyl-order and involution tables, against this model.
@@ -12,11 +13,105 @@ results, and the Weyl-order and involution tables, against this model.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from parhom.dynkin import Marking
-from parhom.rootweyl import (GuardLimitError, RootSystem, reflection_closure,
-                             resolve_weyl_limit, weyl_order_estimate)
+from parhom.rootweyl import (GuardLimitError, RootSystem, resolve_weyl_limit,
+                             weyl_order_estimate)
+
+
+class PermTables:
+    """The root list of a root system and its simple reflections as
+    permutations of that list."""
+
+    def __init__(self, rs: RootSystem):
+        pos = np.array(rs.positive_roots, dtype=np.int64)
+        n, m = rs.diagram.n, len(pos)
+        coords = np.concatenate([pos, -pos])
+        roots = [tuple(int(x) for x in c) for c in coords]
+        self.roots = tuple(roots)
+        self.root_index = {c: i for i, c in enumerate(roots)}
+
+        size = 2 * m
+        dtype = np.int16 if size < 2 ** 15 else np.int32
+        # s_i(c) = c - <c, alpha_i^vee> alpha_i, the pairing read off column i
+        pairing = coords @ rs.cartan.astype(np.int64)
+        perms = np.empty((n, size), dtype=dtype)
+        for i in range(n):
+            images = coords.copy()
+            images[:, i] -= pairing[:, i]
+            perms[i] = [self.root_index[tuple(int(x) for x in c)] for c in images]
+        self.simple_perm = perms
+        self.identity_row = np.arange(size, dtype=dtype)
+        unit = lambda j: tuple(1 if t == j else 0 for t in range(n))
+        self.simple_cols = np.array([self.root_index[unit(j)] for j in range(n)])
+
+    def key_bytes(self, rows: np.ndarray) -> list[bytes]:
+        """One hashable key per row: the images of the simple roots."""
+        sub = np.ascontiguousarray(rows[:, self.simple_cols])
+        step = sub.shape[1] * sub.itemsize
+        buf = sub.tobytes()
+        return [buf[i * step:(i + 1) * step] for i in range(sub.shape[0])]
+
+    def canonical_order(self, rows: np.ndarray) -> np.ndarray:
+        """Indices sorting rows by their key columns, lexicographically."""
+        sub = rows[:, self.simple_cols]
+        return np.lexsort(sub.T[::-1])
+
+
+@lru_cache(maxsize=None)
+def perm_tables(rs: RootSystem) -> PermTables:
+    return PermTables(rs)
+
+
+def permutation_closure(rs: RootSystem, rows: np.ndarray, gen_nodes,
+                        side: str = "left", limit: int | None = None) -> np.ndarray:
+    """Close a set of permutation rows under multiplication by the given
+    simple reflections (side="left": s*w, side="right": w*s).
+
+    Deterministic: the result is returned in canonical key order.  Raises
+    GuardLimitError if the closure grows past `limit`.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    t = perm_tables(rs)
+    rows = np.asarray(rows)
+    if rows.ndim == 1:
+        rows = rows[None, :]
+    seen: set[bytes] = set()
+    keep = []
+    for idx, kb in enumerate(t.key_bytes(rows)):
+        if kb not in seen:
+            seen.add(kb)
+            keep.append(idx)
+    rows = rows[keep]
+    gens = [t.simple_perm[g - 1] for g in Marking.of(gen_nodes)]
+    blocks = [rows]
+    total = len(rows)
+    if limit is not None and total > limit:
+        raise GuardLimitError(total, limit)
+    frontier = rows
+    while len(frontier) and gens:
+        if side == "left":
+            cand = np.concatenate([g[frontier] for g in gens])
+        else:
+            cand = np.concatenate([frontier[:, g] for g in gens])
+        fresh = []
+        for idx, kb in enumerate(t.key_bytes(cand)):
+            if kb not in seen:
+                seen.add(kb)
+                fresh.append(idx)
+        if not fresh:
+            break
+        frontier = cand[fresh]
+        total += len(frontier)
+        if limit is not None and total > limit:
+            raise GuardLimitError(total, limit)
+        blocks.append(frontier)
+    out = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
+    return out[t.canonical_order(out)]
 
 
 def pos_support(rs: RootSystem) -> np.ndarray:
@@ -39,16 +134,16 @@ class WeylElement:
 
     def __init__(self, rs: RootSystem, row):
         self.rs = rs
-        self.row = np.asarray(row, dtype=rs.identity_row.dtype)
+        self.row = np.asarray(row, dtype=perm_tables(rs).identity_row.dtype)
         self._length = None
 
     @classmethod
     def identity(cls, rs: RootSystem) -> "WeylElement":
-        return cls(rs, rs.identity_row)
+        return cls(rs, perm_tables(rs).identity_row)
 
     @property
     def key(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.row[self.rs.simple_cols])
+        return tuple(int(x) for x in self.row[perm_tables(self.rs).simple_cols])
 
     @property
     def length(self) -> int:
@@ -63,7 +158,7 @@ class WeylElement:
         return WeylElement(self.rs, self.row[other.row])
 
     def is_identity(self) -> bool:
-        return bool((self.row == self.rs.identity_row).all())
+        return bool((self.row == perm_tables(self.rs).identity_row).all())
 
     def __eq__(self, other):
         return (isinstance(other, WeylElement) and self.rs is other.rs
@@ -90,7 +185,7 @@ class WeylSubset:
 
     def key_set(self) -> frozenset[bytes]:
         if self._keys is None:
-            self._keys = frozenset(self.rs.key_bytes(self.rows))
+            self._keys = frozenset(perm_tables(self.rs).key_bytes(self.rows))
         return self._keys
 
     def elements(self):
@@ -101,7 +196,7 @@ class WeylSubset:
         return len(self.rows)
 
     def __contains__(self, w: WeylElement):
-        return self.rs.key_bytes(w.row[None, :])[0] in self.key_set()
+        return perm_tables(self.rs).key_bytes(w.row[None, :])[0] in self.key_set()
 
     def __eq__(self, other):
         return (isinstance(other, WeylSubset) and self.rs is other.rs
@@ -120,7 +215,7 @@ def enumerate_weyl(rs: RootSystem, generators, weyl_limit=None) -> WeylSubset:
     est = weyl_order_estimate(rs.diagram, gens)
     if est > limit:
         raise GuardLimitError(est, limit)
-    rows = reflection_closure(rs, rs.identity_row[None, :], gens, "left")
+    rows = permutation_closure(rs, perm_tables(rs).identity_row[None, :], gens, "left")
     return WeylSubset(rs, rows, generators_marking=gens)
 
 
@@ -128,22 +223,24 @@ def longest_element(rs: RootSystem) -> WeylElement:
     """The unique element of length |pos roots|; found by greedily extending
     with any simple reflection that still increases length."""
     m = rs.num_positive
-    row = rs.identity_row.copy()
-    cols = rs.simple_cols
+    t = perm_tables(rs)
+    row = t.identity_row.copy()
+    cols = t.simple_cols
     while True:
         pos = np.nonzero(row[cols] < m)[0]
         if not len(pos):
             return WeylElement(rs, row)
-        row = row[rs.simple_perm[pos[0]]]
+        row = row[t.simple_perm[pos[0]]]
 
 
 def involution_via_w0(rs: RootSystem) -> dict[int, int]:
     """Node permutation i -> j with a_j = -(w0 applied to a_i)."""
     w0 = longest_element(rs)
     m = rs.num_positive
-    col_of = {int(c): i for i, c in enumerate(rs.simple_cols)}
+    cols = perm_tables(rs).simple_cols
+    col_of = {int(c): i for i, c in enumerate(cols)}
     out = {}
-    for i, c in enumerate(rs.simple_cols):
+    for i, c in enumerate(cols):
         img = int(w0.row[c])
         if img < m:
             raise RuntimeError("longest element does not negate a simple root")
@@ -173,18 +270,19 @@ def product_set(a: WeylSubset, b: WeylSubset, weyl_limit=None) -> WeylSubset:
     rs = a.rs
     limit = resolve_weyl_limit(weyl_limit)
     if b.generators_marking is not None:
-        rows = reflection_closure(rs, a.rows, b.generators_marking, "right", limit=limit)
+        rows = permutation_closure(rs, a.rows, b.generators_marking, "right", limit=limit)
         return WeylSubset(rs, rows)
     if a.generators_marking is not None:
-        rows = reflection_closure(rs, b.rows, a.generators_marking, "left", limit=limit)
+        rows = permutation_closure(rs, b.rows, a.generators_marking, "left", limit=limit)
         return WeylSubset(rs, rows)
+    t = perm_tables(rs)
     seen: set[bytes] = set()
     blocks = []
     total = 0
     for row in a.rows:
         block = row[b.rows]
         fresh = []
-        for i, kb in enumerate(rs.key_bytes(block)):
+        for i, kb in enumerate(t.key_bytes(block)):
             if kb not in seen:
                 seen.add(kb)
                 fresh.append(i)
@@ -196,4 +294,4 @@ def product_set(a: WeylSubset, b: WeylSubset, weyl_limit=None) -> WeylSubset:
     if not blocks:
         return WeylSubset(rs, a.rows[:0])
     rows = np.concatenate(blocks)
-    return WeylSubset(rs, rows[rs.canonical_order(rows)])
+    return WeylSubset(rs, rows[t.canonical_order(rows)])
