@@ -20,7 +20,7 @@ import numpy as np
 from .dynkin import DynkinDiagram, Marking, diagram_involution_table, tree_path
 from .geometry import ParabolicPair, dim_flag, levi_split
 from .rootweyl import (GuardLimitError, generate_roots, reflection_closure,
-                       resolve_weyl_limit, weyl_order, weyl_order_estimate)
+                       resolve_weyl_limit, weyl_order)
 
 
 class ConsistencyError(RuntimeError):
@@ -114,10 +114,10 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32,
     if max_k < 1:
         raise ValueError("max_k must be positive")
     d = pair.diagram
-    order = weyl_order(d)
     p_gens = levi_generators(d, pair.psi_p)
     q_gens = levi_generators(d, pair.psi_q)
-    orbit_size = order // weyl_order_estimate(d, p_gens)
+    stabilizer = weyl_order(d, pair.psi_p)
+    orbit_size = weyl_order(d) // stabilizer
     limit = resolve_weyl_limit(weyl_limit)
     if orbit_size > limit:
         raise GuardLimitError(orbit_size, limit, "orbit size |W/W_P|")
@@ -126,7 +126,6 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32,
         raise ConsistencyError(
             f"orbit of lambda_P has {len(orbit)} points, expected |W/W_P| = "
             f"{orbit_size} on {d.type_string} psi_p={pair.psi_p.render()}")
-    stabilizer = order // orbit_size
     nb = orbit.neighbours
     p_cols = np.array([g - 1 for g in p_gens], dtype=np.intp)
     q_cols = np.array([g - 1 for g in q_gens], dtype=np.intp)

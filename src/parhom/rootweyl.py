@@ -1,11 +1,13 @@
 """Root systems, Weyl-group orders and weight orbits.
 
 Positive roots are integer coordinate vectors in the simple-root basis,
-graded by height, then lexicographic.  The library models W/W_P as the
-orbit of the dominant weight lambda_P = sum of the fundamental weights of
-a marking: Dynkin-label vectors with a table of simple-reflection
-neighbours.  The chain scan grows masks over it with `reflection_closure`.
-The permutation model of W is a test oracle (`tests/weyl_oracle.py`).
+graded by height, then lexicographic.  Weyl-group orders are read off
+their heights (`weyl_order`), with no classification of the diagram.  The
+library models W/W_P as the orbit of the dominant weight lambda_P = sum of
+the fundamental weights of a marking: Dynkin-label vectors with a table of
+simple-reflection neighbours.  The chain scan grows masks over it with
+`reflection_closure`.  The permutation model of W and the closed-form
+order table are test oracles (`tests/weyl_oracle.py`).
 
 Orbits run behind a guard limit (default 10**6 points, env
 PARHOM_WEYL_LIMIT) so desk-scale runs stay desk-scale.
@@ -13,32 +15,22 @@ PARHOM_WEYL_LIMIT) so desk-scale runs stay desk-scale.
 
 from __future__ import annotations
 
-import math
 import os
 from functools import lru_cache
 
 import numpy as np
 
-from .dynkin import DynkinDiagram, Marking, cartan_matrix, relabel_to_standard
+from .dynkin import DynkinDiagram, Marking, cartan_matrix
 
 DEFAULT_WEYL_LIMIT = 10 ** 6
 LIMIT_ENV = "PARHOM_WEYL_LIMIT"
-
-_EXCEPTIONAL_ORDER = {
-    ("E", 6): 51840,
-    ("E", 7): 2903040,
-    ("E", 8): 696729600,
-    ("F", 4): 1152,
-    ("G", 2): 12,
-}
 
 
 class GuardLimitError(RuntimeError):
     """Raised when a Weyl group, orbit, closure or sweep would exceed the
     guard; `quantity` names what was counted."""
 
-    def __init__(self, estimated: int, limit: int,
-                 quantity: str = "estimated Weyl element count"):
+    def __init__(self, estimated: int, limit: int, quantity: str):
         super().__init__(
             f"{quantity} {estimated} exceeds guard limit "
             f"{limit}; raise --weyl-limit or {LIMIT_ENV}")
@@ -61,33 +53,6 @@ def resolve_weyl_limit(explicit=None) -> int:
     if value < 1:
         raise ValueError(f"{LIMIT_ENV} must be an integer >= 1, got {env!r}")
     return value
-
-
-def classical_weyl_order(family: str, rank: int) -> int:
-    if family == "A":
-        return math.factorial(rank + 1)
-    if family in ("B", "C"):
-        return 2 ** rank * math.factorial(rank)
-    if family == "D":
-        return 2 ** (rank - 1) * math.factorial(rank)
-    return _EXCEPTIONAL_ORDER[(family, rank)]
-
-
-def weyl_order(d: DynkinDiagram) -> int:
-    out = 1
-    for f in d.factors:
-        out *= classical_weyl_order(f.family, f.rank)
-    return out
-
-
-def weyl_order_estimate(d: DynkinDiagram, generators) -> int:
-    """Order of the reflection subgroup generated by the given nodes, read
-    off the classification of the induced subdiagram."""
-    gens = Marking.of(generators).validate_on(d)
-    if not gens:
-        return 1
-    sub, _ = relabel_to_standard(d, gens)
-    return weyl_order(sub)
 
 
 def _reflect(coords, i, cart, n):
@@ -204,6 +169,26 @@ class WeightOrbit:
 @lru_cache(maxsize=None)
 def generate_roots(d: DynkinDiagram) -> RootSystem:
     return RootSystem(d)
+
+
+def weyl_order(d: DynkinDiagram, psi=()) -> int:
+    """Order of the Weyl group W_P of the Levi of marking psi, so |W| for
+    the empty marking.  Macdonald's product over the Levi's positive roots
+    (those whose support misses psi) of (height + 1) / height.
+
+    >>> from parhom import parse_diagram_spec
+    >>> weyl_order(parse_diagram_spec("E8")), weyl_order(parse_diagram_spec("E8"), [4])
+    (696729600, 1440)
+    """
+    rs = generate_roots(d)
+    mask = sum(1 << (v - 1) for v in Marking.of(psi).validate_on(d))
+    num = den = 1
+    for root, support in zip(rs.positive_roots, rs.support_masks):
+        if not support & mask:
+            h = sum(root)
+            num *= h + 1
+            den *= h
+    return num // den
 
 
 # bench/tracer.py times the chain scan's closures by wrapping this name

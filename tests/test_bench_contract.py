@@ -8,6 +8,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import parhom.cli
+from parhom.rootweyl import generate_roots
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -35,3 +36,14 @@ def test_chain_scans_run_through_the_traced_closure():
     name = "rootweyl.reflection_closure"
     assert traced_calls(list(workloads.COVERAGE_ARGV))[name] >= 1
     assert traced_calls(["enumerate", "--type", "A3"])[name] == 0
+
+
+def test_chain_scans_classify_no_diagram():
+    """The scan's guard reads |W| and |W_P| off root heights, so a sweep with
+    chain scans classifies exactly the diagrams the same sweep without does."""
+    name = "dynkin.relabel_to_standard"
+    counts = []
+    for argv in (["enumerate", "--type", "A3"], list(workloads.COVERAGE_ARGV)):
+        generate_roots.cache_clear()
+        counts.append(traced_calls(argv)[name])
+    assert counts[0] == counts[1] > 0

@@ -1,6 +1,7 @@
 """The component-split `reduction` and `is_separating` against their
 path-walking oracles, exhaustively at low rank and by Hypothesis on random
-diagrams of rank <= 8, plus reduced-pair invariance of the cycle."""
+diagrams of rank <= 8, plus reduced-pair invariance of the cycle and of the
+chain scan."""
 
 import random
 from datetime import timedelta
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reduction_oracle as oracle
-from parhom import (Marking, ParabolicPair, cycle_descriptor, is_separating,
-                    parse_diagram_spec, reduction)
+from parhom import (Marking, ParabolicPair, chain_analysis, cycle_descriptor,
+                    is_separating, parse_diagram_spec, reduction)
 from reduction_oracle import brute_force_reduction
 
 # every factor of rank <= 8, in the ranks the parser accepts
@@ -40,8 +41,8 @@ def diagrams(draw, max_rank=8):
 
 
 @st.composite
-def pairs_and_chi(draw):
-    d = draw(diagrams())
+def pairs_and_chi(draw, max_rank=8):
+    d = draw(diagrams(max_rank))
     marking = st.sets(st.integers(1, d.n)).map(Marking.of)
     return ParabolicPair(d, draw(marking), draw(marking)), draw(marking)
 
@@ -88,3 +89,29 @@ def test_cycle_depends_only_on_the_reduction(case):
     reduced = ParabolicPair(pair.diagram, pair.psi_p, reduction(pair).reduced_marking)
     full, red = cycle_descriptor(pair), cycle_descriptor(reduced)
     assert (full.type_string, full.marking, full.dim) == (red.type_string, red.marking, red.dim)
+
+
+def chain_summary(pair):
+    scan = chain_analysis(pair)
+    return scan.connected, scan.minimal_n, scan.reachable_sizes, scan.reachable_dims
+
+
+def with_reduced_q(pair):
+    return ParabolicPair(pair.diagram, pair.psi_p, reduction(pair).reduced_marking)
+
+
+@pytest.mark.parametrize("spec", ["A4", "B4", "C4", "D5", "F4", "G2", "A2xG2"])
+def test_chain_scan_depends_only_on_the_reduction_on_every_pair(spec):
+    d = parse_diagram_spec(spec)
+    for p in subsets(d.n):
+        for q in subsets(d.n):
+            pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+            assert chain_summary(pair) == chain_summary(with_reduced_q(pair)), (spec, p, q)
+
+
+# rank <= 6 keeps every orbit, the E6 Borel's 51,840 points at most, under the guard
+@PROPERTY_SETTINGS
+@given(pairs_and_chi(max_rank=6))
+def test_chain_scan_depends_only_on_the_reduction(case):
+    pair, _ = case
+    assert chain_summary(pair) == chain_summary(with_reduced_q(pair))

@@ -7,14 +7,14 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from parhom import (GuardLimitError, Marking, classical_weyl_order,
-                    generate_roots, induced_components,
-                    diagram_involution_table, levi_generators,
-                    parse_diagram_spec, tree_path, weyl_order)
+from parhom import (GuardLimitError, Marking, generate_roots,
+                    induced_components, diagram_involution_table,
+                    levi_generators, parse_diagram_spec, tree_path, weyl_order)
 from parhom.rootweyl import reflection_closure
-from weyl_oracle import (WeylElement, WeylSubset, enumerate_weyl,
-                         involution_via_w0, longest_element,
-                         min_coset_length, perm_tables, product_set)
+from weyl_oracle import (WeylElement, WeylSubset, classical_weyl_order,
+                         enumerate_weyl, involution_via_w0, longest_element,
+                         min_coset_length, perm_tables, product_set,
+                         weyl_order_estimate)
 
 POS_COUNT = {
     "A": lambda l: l * (l + 1) // 2,
@@ -419,6 +419,27 @@ class TestClassicalOrders:
         ("G", 2, 12), ("F", 4, 1152), ("E", 6, 51840)])
     def test_table(self, fam, rank, order):
         assert classical_weyl_order(fam, rank) == order
+        assert weyl_order(parse_diagram_spec(f"{fam}{rank}")) == order
 
     def test_weyl_order_product(self):
         assert weyl_order(parse_diagram_spec("A2xB2")) == 48
+
+
+# the height product against the classified closed form on every marking
+@pytest.mark.parametrize("spec", ["A4", "B4", "C4", "D5", "E6", "E7", "E8",
+                                  "F4", "G2", "A2xG2", "B3xC3"])
+def test_levi_orders_match_the_classified_closed_form(spec):
+    d = parse_diagram_spec(spec)
+    for k in range(d.n + 1):
+        for psi in combinations(range(1, d.n + 1), k):
+            expected = weyl_order_estimate(d, levi_generators(d, psi))
+            assert weyl_order(d, psi) == expected, (spec, psi)
+
+
+@pytest.mark.parametrize("spec", [f"A{r}" for r in range(1, 13)]
+                         + [f"B{r}" for r in range(2, 13)]
+                         + [f"C{r}" for r in range(3, 13)]
+                         + [f"D{r}" for r in range(4, 13)]
+                         + ["E6", "E7", "E8", "F4", "G2", "A40", "B40", "C40", "D40"])
+def test_group_order_matches_the_closed_form(spec):
+    assert weyl_order(parse_diagram_spec(spec)) == classical_weyl_order(spec[0], int(spec[1:]))

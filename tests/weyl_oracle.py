@@ -9,17 +9,50 @@ Subsets are closed under simple reflections with `permutation_closure`.
 
 The library computes with weight orbits only; the tests check those
 results, and the Weyl-order and involution tables, against this model.
+Its guard sizes a subgroup from the closed-form order of each family
+(`classical_weyl_order`) and the classified subdiagram, so it shares no
+code with the library's height product `parhom.rootweyl.weyl_order`.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from parhom.dynkin import Marking
-from parhom.rootweyl import (GuardLimitError, RootSystem, resolve_weyl_limit,
-                             weyl_order_estimate)
+from parhom.dynkin import DynkinDiagram, Marking, relabel_to_standard
+from parhom.rootweyl import GuardLimitError, RootSystem, resolve_weyl_limit
+
+_EXCEPTIONAL_ORDER = {
+    ("E", 6): 51840,
+    ("E", 7): 2903040,
+    ("E", 8): 696729600,
+    ("F", 4): 1152,
+    ("G", 2): 12,
+}
+
+ESTIMATE = "estimated Weyl element count"
+
+
+def classical_weyl_order(family: str, rank: int) -> int:
+    if family == "A":
+        return math.factorial(rank + 1)
+    if family in ("B", "C"):
+        return 2 ** rank * math.factorial(rank)
+    if family == "D":
+        return 2 ** (rank - 1) * math.factorial(rank)
+    return _EXCEPTIONAL_ORDER[(family, rank)]
+
+
+def weyl_order_estimate(d: DynkinDiagram, generators) -> int:
+    """Order of the reflection subgroup generated by the given nodes, read
+    off the classification of the induced subdiagram."""
+    gens = Marking.of(generators).validate_on(d)
+    if not gens:
+        return 1
+    sub, _ = relabel_to_standard(d, gens)
+    return math.prod(classical_weyl_order(f.family, f.rank) for f in sub.factors)
 
 
 class PermTables:
@@ -91,7 +124,7 @@ def permutation_closure(rs: RootSystem, rows: np.ndarray, gen_nodes,
     blocks = [rows]
     total = len(rows)
     if limit is not None and total > limit:
-        raise GuardLimitError(total, limit)
+        raise GuardLimitError(total, limit, ESTIMATE)
     frontier = rows
     while len(frontier) and gens:
         if side == "left":
@@ -108,7 +141,7 @@ def permutation_closure(rs: RootSystem, rows: np.ndarray, gen_nodes,
         frontier = cand[fresh]
         total += len(frontier)
         if limit is not None and total > limit:
-            raise GuardLimitError(total, limit)
+            raise GuardLimitError(total, limit, ESTIMATE)
         blocks.append(frontier)
     out = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]
     return out[t.canonical_order(out)]
@@ -214,7 +247,7 @@ def enumerate_weyl(rs: RootSystem, generators, weyl_limit=None) -> WeylSubset:
     limit = resolve_weyl_limit(weyl_limit)
     est = weyl_order_estimate(rs.diagram, gens)
     if est > limit:
-        raise GuardLimitError(est, limit)
+        raise GuardLimitError(est, limit, ESTIMATE)
     rows = permutation_closure(rs, perm_tables(rs).identity_row[None, :], gens, "left")
     return WeylSubset(rs, rows, generators_marking=gens)
 
@@ -289,7 +322,7 @@ def product_set(a: WeylSubset, b: WeylSubset, weyl_limit=None) -> WeylSubset:
         if fresh:
             total += len(fresh)
             if total > limit:
-                raise GuardLimitError(total, limit)
+                raise GuardLimitError(total, limit, ESTIMATE)
             blocks.append(block[fresh])
     if not blocks:
         return WeylSubset(rs, a.rows[:0])
