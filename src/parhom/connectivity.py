@@ -109,13 +109,15 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32,
 
     Every S_j is a union of cosets w*W_P, so it is held as a mask over the
     orbit points: |S_j| = popcount * |W_P|, and the largest cell dimension
-    in S_j is the largest depth in the mask.
+    in S_j is the largest depth in the mask.  Each scan is memoised on the
+    orbit, keyed by (psi_q, max_k): at most 2^n entries per max_k, dropped
+    with the orbit when the root system's slot moves to another psi_p.  The
+    guard and the consistency checks run on every call, and every call
+    returns fresh lists.
     """
     if max_k < 1:
         raise ValueError("max_k must be positive")
     d = pair.diagram
-    p_gens = levi_generators(d, pair.psi_p)
-    q_gens = levi_generators(d, pair.psi_q)
     stabilizer = weyl_order(d, pair.psi_p)
     orbit_size = weyl_order(d) // stabilizer
     limit = resolve_weyl_limit(weyl_limit)
@@ -126,12 +128,43 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32,
         raise ConsistencyError(
             f"orbit of lambda_P has {len(orbit)} points, expected |W/W_P| = "
             f"{orbit_size} on {d.type_string} psi_p={pair.psi_p.render()}")
+    key = (pair.psi_q.nodes, max_k)
+    scan = orbit.scans.get(key)
+    if scan is None:
+        scan = orbit.scans[key] = _scan(pair, orbit, stabilizer, max_k)
+    sizes, dims, minimal_n, complete, count = scan
+
+    connected = (count == orbit_size) if complete else None
+    result = ChainAnalysis(
+        connected=connected,
+        minimal_n=minimal_n,
+        reachable_sizes=list(sizes),
+        reachable_dims=list(dims),
+        quotient_marking=pair.intersection_marking,
+        complete=complete,
+    )
+    if complete:
+        if connected != is_cycle_connected(pair):
+            raise ConsistencyError(
+                f"reachability disagrees with the marking criterion on "
+                f"{d.type_string} psi_p={pair.psi_p.render()} psi_q={pair.psi_q.render()}")
+        saturated_dim = dims[-1] == dim_flag(d, pair.psi_p)
+        if saturated_dim != connected:
+            raise ConsistencyError(
+                f"top-cell dimension check disagrees with saturation on "
+                f"{d.type_string} psi_p={pair.psi_p.render()} psi_q={pair.psi_q.render()}")
+    return result
+
+
+def _scan(pair: ParabolicPair, orbit, stabilizer: int, max_k: int) -> tuple:
+    """(sizes, dims, minimal_n, complete, orbit points reached) of one scan."""
+    d = pair.diagram
     nb = orbit.neighbours
-    p_cols = np.array([g - 1 for g in p_gens], dtype=np.intp)
-    q_cols = np.array([g - 1 for g in q_gens], dtype=np.intp)
+    p_cols = np.array([g - 1 for g in levi_generators(d, pair.psi_p)], dtype=np.intp)
+    q_cols = np.array([g - 1 for g in levi_generators(d, pair.psi_q)], dtype=np.intp)
 
     # S_0 = W_P is the single point lambda_P, fixed by every P move
-    mask = np.zeros(orbit_size, dtype=bool)
+    mask = np.zeros(len(orbit), dtype=bool)
     mask[0] = True
     count, top = 1, 0
     fresh = np.zeros(1, dtype=np.intp)
@@ -149,34 +182,14 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32,
             top = max(top, int(fresh.max()))
         sizes.append(count * stabilizer)
         dims.append(int(orbit.depth[top]))
-        if count == orbit_size:
+        if count == len(orbit):
             minimal_n = j
             complete = True
             break
         if not len(fresh):
             complete = True
             break
-
-    connected = (count == orbit_size) if complete else None
-    result = ChainAnalysis(
-        connected=connected,
-        minimal_n=minimal_n,
-        reachable_sizes=sizes,
-        reachable_dims=dims,
-        quotient_marking=pair.intersection_marking,
-        complete=complete,
-    )
-    if complete:
-        if connected != is_cycle_connected(pair):
-            raise ConsistencyError(
-                f"reachability disagrees with the marking criterion on "
-                f"{d.type_string} psi_p={pair.psi_p.render()} psi_q={pair.psi_q.render()}")
-        saturated_dim = dims[-1] == dim_flag(d, pair.psi_p)
-        if saturated_dim != connected:
-            raise ConsistencyError(
-                f"top-cell dimension check disagrees with saturation on "
-                f"{d.type_string} psi_p={pair.psi_p.render()} psi_q={pair.psi_q.render()}")
-    return result
+    return tuple(sizes), tuple(dims), minimal_n, complete, count
 
 
 class BoundaryClass(Enum):

@@ -88,12 +88,14 @@ class CycleDescriptor:
     dim: int
     is_point: bool
     is_whole_space: bool
+    # parsed back from type_string once per `RootSystem.cycles` entry; None for a point
+    diagram: DynkinDiagram | None
 
     def dim_recomputed(self) -> int:
         """Same dimension counted inside the cycle's own diagram."""
         if not self.type_string:
             return 0
-        return dim_flag(parse_diagram_spec(self.type_string), self.marking)
+        return dim_flag(self.diagram, self.marking)
 
 
 def cycle_descriptor(pair: ParabolicPair) -> CycleDescriptor:
@@ -107,14 +109,18 @@ def cycle_descriptor(pair: ParabolicPair) -> CycleDescriptor:
     cycle = table.get((nodes, surviving.nodes))
     if cycle is None:
         sub, mapping = relabel_to_standard(d, nodes, marking=surviving)
-        cycle = table[nodes, surviving.nodes] = (sub.type_string if sub is not None else "",
-                                                 Marking.of(mapping[v] for v in surviving))
+        type_string = sub.type_string if sub is not None else ""
+        # keep the cycle's root system's own diagram: one object per type
+        cycle = table[nodes, surviving.nodes] = (
+            type_string, Marking.of(mapping[v] for v in surviving),
+            generate_roots(parse_diagram_spec(type_string)).diagram if type_string else None)
     return CycleDescriptor(
         type_string=cycle[0],
         marking=cycle[1],
         dim=dim,
         is_point=not surviving,
         is_whole_space=not pair.psi_q,
+        diagram=cycle[2],
     )
 
 

@@ -53,7 +53,11 @@ def build_report(diagram: DynkinDiagram, psi_p, psi_q, with_chains: bool = False
                  max_k: int = 32, weyl_limit=None) -> AnalysisReport:
     pair = ParabolicPair(diagram, Marking.of(psi_p), Marking.of(psi_q))
     d = pair.diagram
-    chains = chain_analysis(pair, max_k=max_k, weyl_limit=weyl_limit) if with_chains else None
+    red = reduction(pair)
+    # the Q-cycle, and so the scan, depends only on red psi_q, which keeps
+    # psi_p & psi_q; a sweep then scans each (psi_p, red psi_q) once
+    chains = (chain_analysis(ParabolicPair(d, pair.psi_p, red.reduced_marking), max_k=max_k,
+                             weyl_limit=weyl_limit) if with_chains else None)
     warnings = [_LINEARITY_NOTE]
     warnings.extend(exception_notes(pair))
     if chains is not None and not chains.complete:
@@ -70,7 +74,7 @@ def build_report(diagram: DynkinDiagram, psi_p, psi_q, with_chains: bool = False
         cycle=cycle,
         dual_dim=dual_dim,
         tower=TowerDims(k_cycle=cycle.dim, l_dual=dual_dim),
-        red=reduction(pair),
+        red=red,
         quotient=connectivity_quotient(pair),
         criterion_connected=is_cycle_connected(pair),
         boundary=boundary_codim_class(d, pair.psi_p),

@@ -6,8 +6,10 @@ their heights (`weyl_order`), with no classification of the diagram.  The
 library models W/W_P as the orbit of the dominant weight lambda_P = sum of
 the fundamental weights of a marking: Dynkin-label vectors with a table of
 simple-reflection neighbours.  The chain scan grows masks over it with
-`reflection_closure`.  The permutation model of W and the closed-form
-order table are test oracles (`tests/weyl_oracle.py`).
+`reflection_closure` and keeps its results on the orbit (`scans`).  The
+permutation model of W and the closed-form order table are test oracles
+(`tests/weyl_oracle.py`); the Demazure products of `tests/demazure_oracle.py`
+check the chain scans with no orbit at all.
 
 Orbits run behind a guard limit (default 10**6 points, env
 PARHOM_WEYL_LIMIT) so desk-scale runs stay desk-scale.
@@ -159,6 +161,7 @@ class WeightOrbit:
             blocks.append(block)
             start = nxt
         self.marking = marking
+        self.scans = {}  # (psi_q nodes, max_k) -> one scan (`connectivity._scan`)
         self.depth = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
         self.neighbours = np.concatenate(blocks)
 
@@ -204,7 +207,9 @@ def reflection_closure(mask: np.ndarray, neighbours: np.ndarray, gens: np.ndarra
         reached = neighbours[frontier[:, None], gens].ravel()
         reached = np.sort(reached[~mask[reached]])
         # np.sort and a neighbour test: np.unique hashes, and is far slower
-        frontier = reached[np.diff(reached, prepend=-1) != 0]
+        first = np.ones(len(reached), dtype=bool)
+        np.not_equal(reached[1:], reached[:-1], out=first[1:])
+        frontier = reached[first]
         mask[frontier] = True
         added.append(frontier)
     return np.concatenate(added)

@@ -3,6 +3,7 @@
 call the CLI makes to one must pass through its wrapper."""
 
 import io
+import json
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -20,8 +21,8 @@ def test_tracer_covers_every_target():
     assert tracer.coverage_check(list(workloads.COVERAGE_ARGV)) == []
 
 
-def traced_calls(argv):
-    """Per-target call counts of one traced CLI run."""
+def traced(argv):
+    """The tracer of one traced CLI run."""
     spans = tracer.Tracer()
     spans.install()
     try:
@@ -29,7 +30,12 @@ def traced_calls(argv):
             assert parhom.cli.main(argv) == 0
     finally:
         spans.uninstall()
-    return spans.calls
+    return spans
+
+
+def traced_calls(argv):
+    """Per-target call counts of one traced CLI run."""
+    return traced(argv).calls
 
 
 def test_chain_scans_run_through_the_traced_closure():
@@ -47,3 +53,21 @@ def test_chain_scans_classify_no_diagram():
         generate_roots.cache_clear()
         counts.append(traced_calls(argv)[name])
     assert counts[0] == counts[1] > 0
+
+
+def test_traced_chain_counts_cover_memo_served_rows():
+    """`chain_levels` and `chain_elements` sum over every row's scan, also
+    the rows whose scan is served from the memo of an equal reduced pair."""
+    argv = list(workloads.COVERAGE_ARGV)
+    generate_roots.cache_clear()
+    spans = traced(argv)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert parhom.cli.main(argv + ["--format", "json"]) == 0
+    rows = [json.loads(line) for line in out.getvalue().splitlines()]
+    sizes = [row["connectivity"]["reachable_sizes"] for row in rows]
+    assert spans.chain_levels == sum(map(len, sizes))
+    assert spans.chain_elements == sum(map(sum, sizes))
+    reduced = {(tuple(row["input"]["psi_p"]), tuple(row["reduction"]["reduced"]))
+               for row in rows}
+    assert spans.calls["connectivity.chain_analysis"] == len(rows) > len(reduced)

@@ -1,6 +1,7 @@
 """Reduction, connectivity, chain reachability, boundary and exception
 tables, checked against brute-force subset search, the marking criterion,
-a permutation-row chain scan and closed-form chain lengths."""
+a permutation-row chain scan, Demazure products and closed-form chain
+lengths."""
 
 import random
 from itertools import chain, combinations
@@ -13,6 +14,8 @@ from parhom import (BoundaryClass, GuardLimitError, LargerAutomorphismCase,
                     exception_flags, exception_notes, generate_roots,
                     is_cycle_connected, is_separating, levi_generators,
                     parse_diagram_spec, reduction, tree_path, weyl_order)
+from parhom.report import build_report
+from demazure_oracle import demazure_chain_scan
 from reduction_oracle import brute_force_reduction, swapped
 from weyl_oracle import outside_levi_indices, perm_tables, permutation_closure
 
@@ -244,6 +247,39 @@ class TestChainAnalysis:
             for max_k in (1, 2):
                 got = scan_fields(chain_analysis(pair, max_k=max_k))
                 assert got == permutation_chain_scan(pair, max_k), (p, q, max_k)
+
+    @pytest.mark.parametrize("max_k", [32, 2, 1])
+    @pytest.mark.parametrize("spec", ["A4", "B4", "C4", "D5", "F4", "G2", "A2xG2"])
+    def test_matches_demazure_oracle_on_every_pair(self, spec, max_k):
+        d = parse_diagram_spec(spec)
+        subs = subsets(d.n)
+        for p in subs:
+            for q in subs:
+                res = chain_analysis(ParabolicPair(d, p, q), max_k=max_k)
+                assert (res.minimal_n, res.reachable_dims, res.complete) == \
+                    demazure_chain_scan(d, p, q, max_k), (spec, p, q)
+
+    def test_matches_demazure_oracle_on_every_e6_pair(self):
+        d = parse_diagram_spec("E6")
+        subs = subsets(d.n)
+        for p in subs:
+            for q in subs:
+                res = chain_analysis(ParabolicPair(d, p, q))
+                assert (res.minimal_n, res.reachable_dims, res.complete) == \
+                    demazure_chain_scan(d, p, q), (p, q)
+
+    @pytest.mark.parametrize("spec", ["F4", "D5", "A2xG2"])
+    def test_sweep_rows_match_demazure_oracle(self, spec):
+        # the rows of `enumerate --with-chains`, in its order: `build_report`
+        # scans (psi_p, red psi_q), so most rows are served by the scan memo
+        d = parse_diagram_spec(spec)
+        subs = subsets(d.n)
+        for p in subs[1:]:
+            for q in subs:
+                res = build_report(d, p, q, with_chains=True).chains
+                assert (res.minimal_n, res.reachable_dims, res.complete) == \
+                    demazure_chain_scan(d, p, q), (spec, p, q)
+                assert res.quotient_marking == Marking.of(set(p) & set(q))
 
     @pytest.mark.parametrize("spec,node,rank", HERMITIAN_RANKS,
                              ids=[f"{t}-{v}" for t, v, _ in HERMITIAN_RANKS])

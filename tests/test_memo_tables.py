@@ -1,22 +1,26 @@
 """The per-diagram memo tables on `RootSystem` (flag dimensions, splits of
-D minus a marking, relabelled cycles): the values read through them match
-oracles that share no code with them, cold and warm; bad nodes still raise;
-a table never hands out a mutable value; and whole sweeps print the recorded
+D minus a marking, relabelled cycles) and the chain-scan memo on its weight
+orbit: the values read through them match oracles that share no code with
+them, or cold runs, when warm; bad nodes and guard limits still raise; a
+table never hands out a mutable value; and whole sweeps print the recorded
 bytes, however warm the tables are."""
 
+import gc
 import hashlib
 import io
 import json
 import sys
+import weakref
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import reduction_oracle as oracle
-from parhom import (DiagramError, Marking, ParabolicPair, cycle_descriptor,
-                    dim_flag, exception_flags, generate_roots, is_separating,
-                    parse_diagram_spec, relabel_to_standard)
+from parhom import (DiagramError, GuardLimitError, Marking, ParabolicPair,
+                    chain_analysis, cycle_descriptor, dim_flag, exception_flags,
+                    generate_roots, is_separating, parse_diagram_spec, reduction,
+                    relabel_to_standard)
 from parhom.cli import main
 from test_geometry import diagrams_up_to_rank, subsets
 
@@ -157,8 +161,10 @@ def test_tables_stay_within_their_bounds(warm_e6):
     assert len(rs.flag_dims) <= 2 ** 6
     assert len(rs.levi_splits) <= 2 ** 6
     assert 0 < len(rs.cycles) <= 3 ** 6
-    for type_string, marking in rs.cycles.values():
+    for type_string, marking, diagram in rs.cycles.values():
         assert isinstance(type_string, str) and isinstance(marking, Marking)
+        assert (diagram is None) == (not type_string)
+        assert diagram is None or diagram.type_string == type_string
 
 
 def test_mutating_a_relabel_mapping_leaves_the_cycle_alone(warm_e6):
@@ -205,3 +211,81 @@ def test_sweep_bytes_do_not_depend_on_table_state():
     assert run_cli(argv) == cold
     generate_roots.cache_clear()
     assert run_cli(argv) == cold
+
+
+# -- the chain-scan memo on the weight orbit -----------------------------------
+
+def scan_fields(res):
+    return (res.connected, res.minimal_n, res.reachable_sizes, res.reachable_dims,
+            res.quotient_marking, res.complete)
+
+
+@pytest.mark.parametrize("spec,distinct", [("F4", 150), ("D5", 564), ("A2xG2", 120)])
+def test_warm_scans_equal_cold_ones(spec, distinct):
+    # the pairs `build_report` scans in an `enumerate --with-chains` sweep
+    d = parse_diagram_spec(spec)
+    subs = subsets(d.n)
+    pairs = [ParabolicPair(d, p, reduction(ParabolicPair(d, p, q)).reduced_marking)
+             for p in subs[1:] for q in subs]
+    cold = []
+    for pair in pairs:
+        generate_roots.cache_clear()
+        cold.append(scan_fields(chain_analysis(pair)))
+    generate_roots.cache_clear()
+    warm, entries = [], 0
+    for i, pair in enumerate(pairs):
+        warm.append(scan_fields(chain_analysis(pair)))
+        if i + 1 == len(pairs) or pairs[i + 1].psi_p != pair.psi_p:
+            entries += len(generate_roots(d).weight_orbit(pair.psi_p).scans)
+    assert warm == cold
+    # one scan per distinct (psi_p, red psi_q), each of the other rows a hit
+    assert entries == distinct < len(pairs)
+
+
+def test_mutating_a_returned_scan_leaves_the_next_alone():
+    pair = ParabolicPair(parse_diagram_spec("D5"), [2], [1, 3])
+    first = chain_analysis(pair)
+    want = (list(first.reachable_sizes), list(first.reachable_dims))
+    first.reachable_sizes[0] = -1
+    first.reachable_sizes.append(0)
+    first.reachable_dims.clear()
+    again = chain_analysis(pair)
+    assert (again.reachable_sizes, again.reachable_dims) == want
+
+
+def test_truncated_scan_is_not_served_from_the_full_entry():
+    pair = ParabolicPair(parse_diagram_spec("D5"), [1, 5], [3])
+    full = chain_analysis(pair)
+    assert full.complete and full.minimal_n > 1
+    short = chain_analysis(pair, max_k=1)
+    assert not short.complete and short.minimal_n is None
+    assert short.reachable_sizes == full.reachable_sizes[:2]
+    generate_roots.cache_clear()
+    assert scan_fields(chain_analysis(pair, max_k=1)) == scan_fields(short)
+    assert scan_fields(chain_analysis(pair)) == scan_fields(full)
+
+
+def test_guard_holds_on_a_warm_memo():
+    pair = ParabolicPair(parse_diagram_spec("D5"), range(1, 6), [2])
+    assert chain_analysis(pair).connected is False  # the Borel orbit, 1,920 points
+    with pytest.raises(GuardLimitError) as exc:
+        chain_analysis(pair, weyl_limit=1919)
+    assert exc.value.estimated == 1920
+
+
+def test_memo_goes_with_the_orbit_slot():
+    d = parse_diagram_spec("F4")
+    generate_roots.cache_clear()
+    rs = generate_roots(d)
+    chain_analysis(ParabolicPair(d, [1], [2]))
+    chain_analysis(ParabolicPair(d, [1], [3]))
+    orbit = rs.weight_orbit([1])
+    assert set(orbit.scans) == {((2,), 32), ((3,), 32)}
+    gone = weakref.ref(orbit)
+    del orbit
+    chain_analysis(ParabolicPair(d, [4], [2]))
+    gc.collect()
+    assert gone() is None
+    assert set(rs.weight_orbit([4]).scans) == {((2,), 32)}
+    chain_analysis(ParabolicPair(d, [1], [3]))
+    assert set(rs.weight_orbit([1]).scans) == {((3,), 32)}
