@@ -105,8 +105,8 @@ def cmd_enumerate(args, out=None) -> int:
         for q in subsets:
             if args.nontrivial_only and (set(p) <= set(q) or not q):
                 continue
-            report = build_report(d, p, q, with_chains=args.with_chains,
-                                  max_k=args.max_k, weyl_limit=limit)
+            report = build_report(d, p, q, with_chains=args.with_chains, max_k=args.max_k,
+                                  weyl_limit=limit, with_sizes=args.format == "json")
             print(render_json(report, compact=True) if args.format == "json"
                   else render_tsv_row(report), file=out)
     return EXIT_OK

@@ -1,8 +1,8 @@
 """Decision procedures on marked diagram pairs: separation and reduction
 (read off components of the diagram, the reduction off the split
 `ParabolicPair.cycle_components` that also gives the cycle; `tree_path`
-only draws witnesses), cycle-connectivity, minimal chain length via Weyl
-reachability, boundary codimension class, and the exception tables.
+only draws witnesses), cycle-connectivity, minimal chain length by Demazure
+products, boundary codimension class, and the exception tables.
 
 Subgroup convention used throughout: the Weyl subgroup attached to a
 marking is generated by the reflections of the UNMARKED nodes (the Levi
@@ -92,7 +92,8 @@ class ChainAnalysis:
 
     Level sets S_0 = W_P, S_j = W_P * (W_Q * S_{j-1}), in the Levi
     convention above.  `connected` is None only when the scan was truncated
-    by max_k before stabilizing (`complete` False).
+    by max_k before stabilizing (`complete` False).  `reachable_sizes` is an
+    empty list when sizes were not counted.
     """
 
     connected: bool | None
@@ -103,18 +104,14 @@ class ChainAnalysis:
     complete: bool
 
 
-def chain_analysis(pair: ParabolicPair, max_k: int = 32,
-                   weyl_limit=None) -> ChainAnalysis:
-    """Scan the level sets on the orbit of lambda_P, which is W/W_P.
-
-    Every S_j is a union of cosets w*W_P, so it is held as a mask over the
-    orbit points: |S_j| = popcount * |W_P|, and the largest cell dimension
-    in S_j is the largest depth in the mask.  Each scan is memoised on the
-    orbit, keyed by (psi_q, max_k): at most 2^n entries per max_k, dropped
-    with the orbit when the root system's slot moves to another psi_p.  The
-    guard and the consistency checks run on every call, and every call
-    returns fresh lists.
-    """
+def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
+                   with_sizes: bool = True) -> ChainAnalysis:
+    """The level sets as Bruhat intervals S_j = [e, x_j], x_0 = w_0(P) and
+    x_j = x_{j-1} * w_0(Q) * w_0(P) (Demazure products; Bjorner-Brenti 2.2):
+    `minimal_n` is the first j with l(x_j) = |Phi+|, and the top cell of S_j
+    has dimension l(x_j) - l(x_0).  `with_sizes` also counts |S_j| on the
+    orbit W/W_P, memoised on it per (psi_q, max_k); the guard counts |W/W_P|
+    either way.  Every call runs the checks and returns fresh lists."""
     if max_k < 1:
         raise ValueError("max_k must be positive")
     d = pair.diagram
@@ -123,73 +120,92 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32,
     limit = resolve_weyl_limit(weyl_limit)
     if orbit_size > limit:
         raise GuardLimitError(orbit_size, limit, "orbit size |W/W_P|")
-    orbit = generate_roots(d).weight_orbit(pair.psi_p)
-    if len(orbit) != orbit_size:
-        raise ConsistencyError(
-            f"orbit of lambda_P has {len(orbit)} points, expected |W/W_P| = "
-            f"{orbit_size} on {d.type_string} psi_p={pair.psi_p.render()}")
-    key = (pair.psi_q.nodes, max_k)
-    scan = orbit.scans.get(key)
-    if scan is None:
-        scan = orbit.scans[key] = _scan(pair, orbit, stabilizer, max_k)
-    sizes, dims, minimal_n, complete, count = scan
+    rs = generate_roots(d)
+    p_gens, q_gens = ([g - 1 for g in levi_generators(d, psi)] for psi in (pair.psi_p, pair.psi_q))
+    lengths = _lengths(rs, p_gens, q_gens, max_k)
+    top = lengths[-1] == rs.num_positive
+    complete = top or lengths[-1] == lengths[-2]
+    sizes = ()
+    if with_sizes:
+        orbit = rs.weight_orbit(pair.psi_p)
+        if len(orbit) != orbit_size:
+            raise ConsistencyError(
+                f"orbit has {len(orbit)} points, not |W/W_P| = {orbit_size}, on {_where(pair)}")
+        key = (pair.psi_q.nodes, max_k)
+        sizes = orbit.scans.get(key)
+        if sizes is None:
+            sizes = orbit.scans[key] = _scan(orbit, p_gens, q_gens, stabilizer, len(lengths) - 1)
+        if (sizes[-1] == orbit_size * stabilizer) != top or any(  # sizes grow where lengths do
+                (a < b) != (c < e) for a, b, c, e in zip(sizes, sizes[1:], lengths, lengths[1:])):
+            raise ConsistencyError(
+                f"orbit scan disagrees with the Demazure lengths on {_where(pair)}")
 
-    connected = (count == orbit_size) if complete else None
+    connected = top if complete else None
     result = ChainAnalysis(
         connected=connected,
-        minimal_n=minimal_n,
+        minimal_n=len(lengths) - 1 if top else None,
         reachable_sizes=list(sizes),
-        reachable_dims=list(dims),
+        reachable_dims=[length - lengths[0] for length in lengths],
         quotient_marking=pair.intersection_marking,
         complete=complete,
     )
     if complete:
         if connected != is_cycle_connected(pair):
             raise ConsistencyError(
-                f"reachability disagrees with the marking criterion on "
-                f"{d.type_string} psi_p={pair.psi_p.render()} psi_q={pair.psi_q.render()}")
-        saturated_dim = dims[-1] == dim_flag(d, pair.psi_p)
+                f"reachability disagrees with the marking criterion on {_where(pair)}")
+        saturated_dim = result.reachable_dims[-1] == dim_flag(d, pair.psi_p)
         if saturated_dim != connected:
             raise ConsistencyError(
-                f"top-cell dimension check disagrees with saturation on "
-                f"{d.type_string} psi_p={pair.psi_p.render()} psi_q={pair.psi_q.render()}")
+                f"top-cell dimension check disagrees with saturation on {_where(pair)}")
     return result
 
 
-def _scan(pair: ParabolicPair, orbit, stabilizer: int, max_k: int) -> tuple:
-    """(sizes, dims, minimal_n, complete, orbit points reached) of one scan."""
-    d = pair.diagram
-    nb = orbit.neighbours
-    p_cols = np.array([g - 1 for g in levi_generators(d, pair.psi_p)], dtype=np.intp)
-    q_cols = np.array([g - 1 for g in levi_generators(d, pair.psi_q)], dtype=np.intp)
+def _where(pair: ParabolicPair) -> str:
+    return f"{pair.diagram.type_string} psi_p={pair.psi_p.render()} psi_q={pair.psi_q.render()}"
 
+
+def _lengths(rs, p_gens: list[int], q_gens: list[int], max_k: int) -> list[int]:
+    """[l(x_0), ..., l(x_j)], to the level that reaches |Phi+|, adds nothing or
+    is the max_k-th.  m = the Dynkin labels of x^-1(rho): x*s_i > x iff m_i > 0,
+    and its labels are m_j - m_i*C[i][j], so x * w_0(I) takes that move while
+    some i in I has m_i > 0."""
+    m = [1] * rs.diagram.n
+
+    def star(gens) -> int:
+        steps, before = 0, -1
+        while steps != before:
+            before = steps
+            for i in gens:
+                if (mi := m[i]) > 0:
+                    m[i] = -mi
+                    for j, c in rs.moves[i]:
+                        m[j] -= mi * c
+                    steps += 1
+        return steps
+
+    lengths = [star(p_gens)]
+    for _ in range(max_k):
+        lengths.append(lengths[-1] + star(q_gens) + star(p_gens))
+        if lengths[-1] in (rs.num_positive, lengths[-2]):
+            break
+    return lengths
+
+
+def _scan(orbit, p_gens: list[int], q_gens: list[int], stabilizer: int, levels: int) -> tuple:
+    """(|S_0|, ..., |S_levels|): S_j, a union of cosets w*W_P, as a mask over
+    the orbit points, so |S_j| = popcount * |W_P|."""
+    nb, p_cols, q_cols = orbit.neighbours, np.array(p_gens, np.intp), np.array(q_gens, np.intp)
     # S_0 = W_P is the single point lambda_P, fixed by every P move
     mask = np.zeros(len(orbit), dtype=bool)
     mask[0] = True
-    count, top = 1, 0
     fresh = np.zeros(1, dtype=np.intp)
-    sizes = [stabilizer]
-    dims = [0]
-    minimal_n = None
-    complete = False
-    for j in range(1, max_k + 1):
+    counts = [1]
+    for _ in range(levels):
         # the mask is P-closed, and Q-closed apart from `fresh`
         from_q = reflection_closure(mask, nb, q_cols, fresh)
         fresh = np.concatenate([from_q, reflection_closure(mask, nb, p_cols, from_q)])
-        if len(fresh):
-            count += len(fresh)
-            # depth does not decrease with the index
-            top = max(top, int(fresh.max()))
-        sizes.append(count * stabilizer)
-        dims.append(int(orbit.depth[top]))
-        if count == len(orbit):
-            minimal_n = j
-            complete = True
-            break
-        if not len(fresh):
-            complete = True
-            break
-    return tuple(sizes), tuple(dims), minimal_n, complete, count
+        counts.append(counts[-1] + len(fresh))
+    return tuple(count * stabilizer for count in counts)
 
 
 class BoundaryClass(Enum):

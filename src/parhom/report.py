@@ -50,14 +50,15 @@ class AnalysisReport:
 
 
 def build_report(diagram: DynkinDiagram, psi_p, psi_q, with_chains: bool = False,
-                 max_k: int = 32, weyl_limit=None) -> AnalysisReport:
+                 max_k: int = 32, weyl_limit=None, with_sizes: bool = True) -> AnalysisReport:
     pair = ParabolicPair(diagram, Marking.of(psi_p), Marking.of(psi_q))
     d = pair.diagram
     red = reduction(pair)
     # the Q-cycle, and so the scan, depends only on red psi_q, which keeps
     # psi_p & psi_q; a sweep then scans each (psi_p, red psi_q) once
     chains = (chain_analysis(ParabolicPair(d, pair.psi_p, red.reduced_marking), max_k=max_k,
-                             weyl_limit=weyl_limit) if with_chains else None)
+                             weyl_limit=weyl_limit, with_sizes=with_sizes)
+              if with_chains else None)
     warnings = [_LINEARITY_NOTE]
     warnings.extend(exception_notes(pair))
     if chains is not None and not chains.complete:
@@ -116,10 +117,15 @@ def verify_report(r: AnalysisReport) -> None:
     expect(r.quotient == pair.intersection_marking, "quotient marking")
     expect(r.criterion_connected == (not pair.intersection_marking), "connectivity criterion")
 
-    if r.chains is not None and r.chains.complete:
-        c = r.chains
+    c = r.chains
+    if c is not None:
+        # S_j = [e, x_j], so S_j < S_{j+1} iff x_j < x_{j+1}: lengths, and dims, grow
+        rising = c.reachable_dims[1:-1] if c.complete else c.reachable_dims[1:]
+        expect(all(a < b for a, b in zip(c.reachable_dims, rising)),
+               "lengths strictly increase before stabilization")
+    if c is not None and c.complete:
         expect(c.connected == r.criterion_connected, "reachability vs criterion")
-        sizes = c.reachable_sizes
+        sizes = c.reachable_sizes  # empty when the scan counted no sizes
         expect(all(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 2)),
                "reachable sizes strictly increase before stabilization")
         expect(sizes[-1] >= sizes[-2] if len(sizes) > 1 else True, "reachable sizes monotone")

@@ -5,11 +5,9 @@ graded by height, then lexicographic.  Weyl-group orders are read off
 their heights (`weyl_order`), with no classification of the diagram.  The
 library models W/W_P as the orbit of the dominant weight lambda_P = sum of
 the fundamental weights of a marking: Dynkin-label vectors with a table of
-simple-reflection neighbours.  The chain scan grows masks over it with
-`reflection_closure` and keeps its results on the orbit (`scans`).  The
-permutation model of W and the closed-form order table are test oracles
-(`tests/weyl_oracle.py`); the Demazure products of `tests/demazure_oracle.py`
-check the chain scans with no orbit at all.
+simple-reflection neighbours, on which the chain scan counts its sizes
+with `reflection_closure` (`scans` keeps them).  The permutation model of W
+and the closed-form order table are test oracles (`tests/weyl_oracle.py`).
 
 Orbits run behind a guard limit (default 10**6 points, env
 PARHOM_WEYL_LIMIT) so desk-scale runs stay desk-scale.
@@ -19,6 +17,7 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
+from math import prod
 
 import numpy as np
 
@@ -92,11 +91,14 @@ class RootSystem:
         self.positive_roots = tuple(pos)
         self.num_positive = len(pos)
         self.cartan = np.array(cart, dtype=np.int16)
+        # per node i, the (j, C[i][j]) of its neighbours j
+        self.moves = tuple(tuple((j, c) for j, c in enumerate(row) if c and j != i)
+                           for i, row in enumerate(cart))
         self._orbit: WeightOrbit | None = None
         # bit v-1 set iff node v is in the root's support
         self.support_masks = tuple(sum(1 << j for j, x in enumerate(c) if x) for c in pos)
-        # memo tables of `geometry.dim_flag`, `levi_split` and `cycle_descriptor`
-        self.flag_dims, self.levi_splits, self.cycles = {}, {}, {}
+        # memo tables of `dim_flag`, `levi_split`, `cycle_descriptor`, `weyl_order`
+        self.flag_dims, self.levi_splits, self.cycles, self.weyl_orders = {}, {}, {}, {}
 
     def weight_orbit(self, marking) -> "WeightOrbit":
         """The orbit of lambda_P for this marking.  The last one built is
@@ -177,21 +179,22 @@ def generate_roots(d: DynkinDiagram) -> RootSystem:
 def weyl_order(d: DynkinDiagram, psi=()) -> int:
     """Order of the Weyl group W_P of the Levi of marking psi, so |W| for
     the empty marking.  Macdonald's product over the Levi's positive roots
-    (those whose support misses psi) of (height + 1) / height.
+    (those whose support misses psi) of (height + 1) / height.  Memoised
+    per marking on the diagram's root system.
 
     >>> from parhom import parse_diagram_spec
     >>> weyl_order(parse_diagram_spec("E8")), weyl_order(parse_diagram_spec("E8"), [4])
     (696729600, 1440)
     """
+    psi = Marking.of(psi)
     rs = generate_roots(d)
-    mask = sum(1 << (v - 1) for v in Marking.of(psi).validate_on(d))
-    num = den = 1
-    for root, support in zip(rs.positive_roots, rs.support_masks):
-        if not support & mask:
-            h = sum(root)
-            num *= h + 1
-            den *= h
-    return num // den
+    order = rs.weyl_orders.get(psi.nodes)
+    if order is None:
+        mask = sum(1 << (v - 1) for v in psi.validate_on(d))
+        heights = [sum(root) for root, support in zip(rs.positive_roots, rs.support_masks)
+                   if not support & mask]
+        order = rs.weyl_orders[psi.nodes] = prod(h + 1 for h in heights) // prod(heights)
+    return order
 
 
 # bench/tracer.py times the chain scan's closures by wrapping this name

@@ -1,7 +1,10 @@
 """The benchmark's tracer wraps parhom functions by module and name
 (`bench/tracer.py` TARGETS).  Every target must still resolve, and every
-call the CLI makes to one must pass through its wrapper."""
+call the CLI makes to one must pass through its wrapper.  Chain sizes, and
+so weight orbits and their closures, exist only on the JSON and text paths:
+a TSV chain sweep builds no orbit."""
 
+import hashlib
 import io
 import json
 import sys
@@ -9,7 +12,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import parhom.cli
-from parhom.rootweyl import generate_roots
+from parhom.rootweyl import WeightOrbit, generate_roots
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -38,9 +41,14 @@ def traced_calls(argv):
     return traced(argv).calls
 
 
+JSON_CHAINS_ARGV = list(workloads.COVERAGE_ARGV) + ["--format", "json"]
+CHAIN_DIGESTS = json.loads(
+    (Path(__file__).parent / "golden" / "chain_tables_sha256.json").read_text())
+
+
 def test_chain_scans_run_through_the_traced_closure():
     name = "rootweyl.reflection_closure"
-    assert traced_calls(list(workloads.COVERAGE_ARGV))[name] >= 1
+    assert traced_calls(JSON_CHAINS_ARGV)[name] >= 1
     assert traced_calls(["enumerate", "--type", "A3"])[name] == 0
 
 
@@ -58,12 +66,12 @@ def test_chain_scans_classify_no_diagram():
 def test_traced_chain_counts_cover_memo_served_rows():
     """`chain_levels` and `chain_elements` sum over every row's scan, also
     the rows whose scan is served from the memo of an equal reduced pair."""
-    argv = list(workloads.COVERAGE_ARGV)
+    argv = JSON_CHAINS_ARGV
     generate_roots.cache_clear()
     spans = traced(argv)
     out = io.StringIO()
     with redirect_stdout(out):
-        assert parhom.cli.main(argv + ["--format", "json"]) == 0
+        assert parhom.cli.main(argv) == 0
     rows = [json.loads(line) for line in out.getvalue().splitlines()]
     sizes = [row["connectivity"]["reachable_sizes"] for row in rows]
     assert spans.chain_levels == sum(map(len, sizes))
@@ -71,3 +79,20 @@ def test_traced_chain_counts_cover_memo_served_rows():
     reduced = {(tuple(row["input"]["psi_p"]), tuple(row["reduction"]["reduced"]))
                for row in rows}
     assert spans.calls["connectivity.chain_analysis"] == len(rows) > len(reduced)
+
+
+def test_tsv_chain_sweep_builds_no_orbit(monkeypatch):
+    """TSV rows print no sizes, so a TSV chain sweep runs the closure 0
+    times, and prints its recorded table with `WeightOrbit` unusable."""
+    assert traced_calls(list(workloads.COVERAGE_ARGV))["rootweyl.reflection_closure"] == 0
+
+    def refuse(self, *args):
+        raise AssertionError("a TSV chain sweep built a weight orbit")
+
+    monkeypatch.setattr(WeightOrbit, "__init__", refuse)
+    generate_roots.cache_clear()  # no orbit left over from an earlier test
+    command = "enumerate --type E6 --with-chains"
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert parhom.cli.main(command.split()) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CHAIN_DIGESTS[command]

@@ -8,12 +8,14 @@ from itertools import chain, combinations
 
 import pytest
 
-from parhom import (BoundaryClass, GuardLimitError, LargerAutomorphismCase,
+import parhom.connectivity as connectivity
+from parhom import (BoundaryClass, ConsistencyError, GuardLimitError, LargerAutomorphismCase,
                     Marking, ParabolicPair, boundary_codim_class,
                     chain_analysis, connectivity_quotient, dim_flag,
                     exception_flags, exception_notes, generate_roots,
                     is_cycle_connected, is_separating, levi_generators,
                     parse_diagram_spec, reduction, tree_path, weyl_order)
+from parhom.cli import main
 from parhom.report import build_report
 from demazure_oracle import demazure_chain_scan
 from reduction_oracle import brute_force_reduction, swapped
@@ -345,6 +347,40 @@ class TestChainAnalysis:
     def test_bad_max_k(self):
         with pytest.raises(ValueError):
             chain_analysis(pair_of("A2", [1], [2]), max_k=0)
+
+    def test_sizes_only_on_request(self):
+        pair = pair_of("D5", [1, 5], [3])
+        full, bare = chain_analysis(pair), chain_analysis(pair, with_sizes=False)
+        assert full.reachable_sizes == [24, 552, 1728, 1920] and bare.reachable_sizes == []
+        assert (bare.connected, bare.minimal_n, bare.reachable_dims, bare.complete) == \
+            (full.connected, full.minimal_n, full.reachable_dims, full.complete)
+
+
+# orbit sizes of D5 (1,5) vs (3), (24, 552, 1728, 1920), bent one way each
+SKEWS = {
+    "flat level": lambda s: (s[0], s[0]) + s[2:],  # grows where the lengths do not
+    "short of W": lambda s: s[:-1] + (s[-1] - 1,),  # misses |W| where the lengths reach |Phi+|
+}
+
+
+@pytest.fixture
+def cold_roots():
+    generate_roots.cache_clear()
+    yield
+    generate_roots.cache_clear()  # no bent scan stays in an orbit's memo
+
+
+@pytest.mark.parametrize("skew", sorted(SKEWS))
+def test_orbit_sizes_must_follow_the_lengths(monkeypatch, capsys, cold_roots, skew):
+    real = connectivity._scan
+    monkeypatch.setattr(connectivity, "_scan", lambda *args: SKEWS[skew](real(*args)))
+    pair = pair_of("D5", [1, 5], [3])
+    assert chain_analysis(pair, with_sizes=False).minimal_n == 3  # no orbit, no sizes
+    with pytest.raises(ConsistencyError, match="Demazure lengths"):
+        chain_analysis(pair)
+    argv = ["analyze", "--type", "D5", "--p", "1,5", "--q", "3", "--chain-length"]
+    assert main(argv) == 4
+    assert "Demazure lengths" in capsys.readouterr().err
 
 
 class TestBoundaryClass:

@@ -1,9 +1,9 @@
 """The per-diagram memo tables on `RootSystem` (flag dimensions, splits of
-D minus a marking, relabelled cycles) and the chain-scan memo on its weight
-orbit: the values read through them match oracles that share no code with
-them, or cold runs, when warm; bad nodes and guard limits still raise; a
-table never hands out a mutable value; and whole sweeps print the recorded
-bytes, however warm the tables are."""
+D minus a marking, relabelled cycles, Weyl-group orders) and the chain-scan
+memo on its weight orbit: the values read through them match oracles that
+share no code with them, or cold runs, when warm; bad nodes and guard
+limits still raise; a table never hands out a mutable value; and whole
+sweeps print the recorded bytes, however warm the tables are."""
 
 import gc
 import hashlib
@@ -20,7 +20,7 @@ import reduction_oracle as oracle
 from parhom import (DiagramError, GuardLimitError, Marking, ParabolicPair,
                     chain_analysis, cycle_descriptor, dim_flag, exception_flags,
                     generate_roots, is_separating, parse_diagram_spec, reduction,
-                    relabel_to_standard)
+                    relabel_to_standard, weyl_order)
 from parhom.cli import main
 from test_geometry import diagrams_up_to_rank, subsets
 
@@ -185,12 +185,43 @@ def test_mutating_a_relabel_mapping_leaves_the_cycle_alone(warm_e6):
 def test_cache_clear_drops_the_tables():
     d = parse_diagram_spec("B3")
     cycle_descriptor(ParabolicPair(d, [1], [2]))
+    weyl_order(d, [1])
     old = generate_roots(d)
-    assert old.flag_dims and old.levi_splits and old.cycles
+    assert old.flag_dims and old.levi_splits and old.cycles and old.weyl_orders
     generate_roots.cache_clear()
     fresh = generate_roots(d)
     assert fresh is not old
     assert not fresh.flag_dims and not fresh.levi_splits and not fresh.cycles
+    assert not fresh.weyl_orders
+
+
+# -- Weyl-group orders, per marking -------------------------------------------
+
+@pytest.mark.parametrize("spec", ["A4", "B3xG2", "D5", "E6"])
+def test_weyl_orders_warm_equal_cold(spec):
+    d = parse_diagram_spec(spec)
+    cold = {}
+    for p in subsets(d.n):
+        generate_roots.cache_clear()
+        cold[p] = weyl_order(d, p)
+    generate_roots.cache_clear()
+    assert {p: weyl_order(d, p) for p in cold} == cold  # every lookup a miss
+    assert len(generate_roots(d).weyl_orders) == 2 ** d.n
+    assert {p: weyl_order(d, Marking.of(p)) for p in cold} == cold  # every one a hit
+
+
+def test_bad_nodes_raise_against_a_warm_weyl_order_table():
+    d = parse_diagram_spec("E6")
+    generate_roots.cache_clear()
+    run_cli(["enumerate", "--type", "E6", "--with-chains"])
+    table = generate_roots(d).weyl_orders
+    warm = dict(table)
+    assert 0 < len(warm) <= 2 ** 6
+    for bad in ([7], [0], [1, 7]):
+        with pytest.raises(DiagramError):
+            weyl_order(d, bad)
+    assert table == warm  # nothing stored for a bad marking
+    assert all(1 <= v <= d.n for key in table for v in key)
 
 
 # -- whole sweeps print the recorded bytes ------------------------------------

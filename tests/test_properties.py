@@ -1,7 +1,7 @@
 """The component-split `reduction` and `is_separating` against their
 path-walking oracles, exhaustively at low rank and by Hypothesis on random
-diagrams of rank <= 8, plus reduced-pair invariance of the cycle and of the
-chain scan."""
+diagrams of rank <= 8, reduced-pair invariance of the cycle and of the
+chain scan, and the chain scan's Demazure lengths against the oracle's."""
 
 import random
 from datetime import timedelta
@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reduction_oracle as oracle
+from demazure_oracle import demazure_chain_scan
 from parhom import (Marking, ParabolicPair, chain_analysis, cycle_descriptor,
                     is_separating, parse_diagram_spec, reduction)
 from reduction_oracle import brute_force_reduction
@@ -89,6 +90,19 @@ def test_cycle_depends_only_on_the_reduction(case):
     reduced = ParabolicPair(pair.diagram, pair.psi_p, reduction(pair).reduced_marking)
     full, red = cycle_descriptor(pair), cycle_descriptor(reduced)
     assert (full.type_string, full.marking, full.dim) == (red.type_string, red.marking, red.dim)
+
+
+# the guard still counts |W/W_P|; without sizes no orbit is built, so the
+# E8 Borel's 696,729,600 cosets are admitted
+@PROPERTY_SETTINGS
+@given(pairs_and_chi())
+def test_rho_lengths_match_demazure_oracle(case):
+    pair, _ = case
+    for max_k in (32, 2, 1):
+        res = chain_analysis(pair, max_k=max_k, weyl_limit=10 ** 9, with_sizes=False)
+        assert res.reachable_sizes == []
+        assert (res.minimal_n, res.reachable_dims, res.complete) == demazure_chain_scan(
+            pair.diagram, pair.psi_p.nodes, pair.psi_q.nodes, max_k)
 
 
 def chain_summary(pair):

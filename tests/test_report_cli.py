@@ -80,6 +80,23 @@ class TestReport:
         with pytest.raises(ConsistencyError, match="dual dimension"):
             verify_report(r)
 
+    @pytest.mark.parametrize("with_sizes", [True, False])
+    def test_verify_rejects_a_level_that_adds_no_length(self, with_sizes):
+        # D5 (1,5) vs (3): dims [0, 7, 13, 14]; a flat level 1 keeps the
+        # dims monotone and the top cell, so only the length check sees it
+        r = report_for("D5", [1, 5], [3], with_chains=True, with_sizes=with_sizes)
+        verify_report(r)
+        r.chains.reachable_dims[1] = 0
+        with pytest.raises(ConsistencyError, match="lengths strictly increase"):
+            verify_report(r)
+
+    def test_verify_rejects_a_truncated_scan_that_stalls(self):
+        r = report_for("D5", [1, 5], [3], with_chains=True, max_k=2, with_sizes=False)
+        assert not r.chains.complete and r.chains.reachable_dims == [0, 7, 13]
+        r.chains.reachable_dims[2] = 7
+        with pytest.raises(ConsistencyError, match="lengths strictly increase"):
+            verify_report(r)
+
     def test_tsv_row_shape(self):
         assert tsv_header() == "\t".join(TSV_COLUMNS)
         row = render_tsv_row(report_for("A3", [2], [1], with_chains=True)).split("\t")
