@@ -16,7 +16,6 @@ from .connectivity import (BoundaryClass, ChainAnalysis, ConsistencyError,
                            ReductionResult, boundary_codim_class,
                            chain_analysis, connectivity_quotient,
                            exception_flags, exception_notes,
-                           is_cycle_connected, is_separating, levi_generators,
-                           reduction)
+                           is_cycle_connected, is_separating, reduction)
 from .report import (AnalysisReport, build_report, render_json, render_text,
                      render_tsv_row, report_to_dict, tsv_header, verify_report)

@@ -76,10 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_analyze(args, out=None) -> int:
     out = out or sys.stdout
     d = parse_diagram_spec(args.type)
-    psi_p = Marking.parse(args.p).validate_on(d)
-    psi_q = Marking.parse(args.q).validate_on(d)
-    report = build_report(d, psi_p, psi_q, with_chains=args.chain_length,
-                          max_k=args.max_k, weyl_limit=args.weyl_limit)
+    report = build_report(d, Marking.parse(args.p), Marking.parse(args.q),
+                          with_chains=args.chain_length, max_k=args.max_k,
+                          weyl_limit=args.weyl_limit)
     print(render_json(report) if args.json else render_text(report), file=out)
     return EXIT_OK
 

@@ -28,20 +28,13 @@ class ConsistencyError(RuntimeError):
     a wrong theory encoding, never bad user input."""
 
 
-def levi_generators(d: DynkinDiagram, marking) -> Marking:
-    """Unmarked nodes: the simple reflections generating the Levi's Weyl
-    subgroup for this marking."""
-    marked = set(Marking.of(marking).validate_on(d))
-    return Marking.of(v for v in range(1, d.n + 1) if v not in marked)
-
-
 def is_separating(pair: ParabolicPair, chi) -> bool:
     """True iff no component of D minus chi meets both psi_p and psi_q.  On
     a forest this is the same as "every p->q path meets chi", since two
     nodes lie in one component of D minus chi iff their path avoids chi."""
     p, q = set(pair.psi_p), set(pair.psi_q)
     return not any(not p.isdisjoint(comp) and not q.isdisjoint(comp)
-                   for comp in levi_split(pair.diagram, Marking.of(chi)))
+                   for comp in levi_split(pair.diagram, Marking(chi)))
 
 
 @dataclass(frozen=True)
@@ -58,7 +51,7 @@ def reduction(pair: ParabolicPair) -> ReductionResult:
 
     >>> from parhom import parse_diagram_spec
     >>> pair = ParabolicPair(parse_diagram_spec("A4"), [2], [1, 3, 4])
-    >>> reduction(pair).reduced_marking.nodes
+    >>> reduction(pair).reduced_marking
     (1, 3)
     """
     d = pair.diagram
@@ -70,7 +63,7 @@ def reduction(pair: ParabolicPair) -> ReductionResult:
                   + [q] * (q in psi_p))
         if starts:
             witnesses[q] = tree_path(d, min(starts), q)
-    reduced = Marking.of(witnesses)
+    reduced = Marking(witnesses)
     return ReductionResult(reduced, reduced == pair.psi_q, witnesses)
 
 
@@ -121,7 +114,9 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
     if orbit_size > limit:
         raise GuardLimitError(orbit_size, limit, "orbit size |W/W_P|")
     rs = generate_roots(d)
-    p_gens, q_gens = ([g - 1 for g in levi_generators(d, psi)] for psi in (pair.psi_p, pair.psi_q))
+    # the Levi generators as columns: the unmarked nodes
+    p_gens, q_gens = ([i for i in range(d.n) if i + 1 not in psi]
+                      for psi in (pair.psi_p, pair.psi_q))
     lengths = _lengths(rs, p_gens, q_gens, max_k)
     top = lengths[-1] == rs.num_positive
     complete = top or lengths[-1] == lengths[-2]
@@ -131,7 +126,7 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
         if len(orbit) != orbit_size:
             raise ConsistencyError(
                 f"orbit has {len(orbit)} points, not |W/W_P| = {orbit_size}, on {_where(pair)}")
-        key = (pair.psi_q.nodes, max_k)
+        key = (pair.psi_q, max_k)
         sizes = orbit.scans.get(key)
         if sizes is None:
             sizes = orbit.scans[key] = _scan(orbit, p_gens, q_gens, stabilizer, len(lengths) - 1)
@@ -218,9 +213,9 @@ def boundary_codim_class(d: DynkinDiagram, psi_p) -> BoundaryClass:
     """Classify the complement of the open orbit by how the marking meets
     its involution image: fixed marking gives one affine cell, disjoint
     image gives codimension >= 2, partial overlap codimension one."""
-    psi_p = Marking.of(psi_p).validate_on(d)
+    psi_p = Marking(psi_p).validate_on(d)
     iota = diagram_involution_table(d)
-    image = Marking.of(iota[v] for v in psi_p)
+    image = Marking(iota[v] for v in psi_p)
     if image == psi_p:
         return BoundaryClass.AFFINE_CELL
     if not set(image) & set(psi_p):
@@ -280,10 +275,10 @@ def exception_flags(pair: ParabolicPair) -> ExceptionFlags:
     q_set = set(pair.psi_q)
     near_q = {v for comp in levi_split(d, pair.psi_p) if not q_set.isdisjoint(comp)
               for v in comp}
-    p_reduced = Marking.of(p for p in pair.psi_p
-                           if p in q_set or not near_q.isdisjoint(d.adjacency[p]))
+    p_reduced = Marking(p for p in pair.psi_p
+                        if p in q_set or not near_q.isdisjoint(d.adjacency[p]))
     case = None
-    for fam, rank, p, _ in _local_markings(d, p_reduced, Marking.of(())):
+    for fam, rank, p, _ in _local_markings(d, p_reduced, Marking()):
         if fam == "C" and p == (1,):
             case = LargerAutomorphismCase.ODD_SYMPLECTIC_PROJECTIVE
         elif fam == "B" and p == (rank,):

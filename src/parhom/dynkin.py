@@ -157,31 +157,31 @@ class DynkinDiagram:
         return self.type_string
 
 
-@dataclass(frozen=True)
-class Marking:
-    """Subset of node ids, kept sorted ascending."""
+class Marking(tuple):
+    """Subset of node ids: a tuple kept sorted ascending, without repeats.
+    A marking passed in is returned as it is.
 
-    nodes: tuple[int, ...]
+    >>> (m := Marking((3, 1, 3))) == (1, 3), Marking(m) is m
+    (True, True)
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(sorted(set(self.nodes))))
+    __slots__ = ()
 
-    @classmethod
-    def of(cls, nodes) -> "Marking":
-        if isinstance(nodes, Marking):
+    def __new__(cls, nodes=()):
+        if isinstance(nodes, cls):
             return nodes
-        return cls(tuple(nodes))
+        return super().__new__(cls, sorted(set(nodes)))
 
     @classmethod
     def parse(cls, text: str) -> "Marking":
         """Parse "2,4"-style node lists; "" and "-" denote the empty marking.
 
-        >>> Marking.parse("2,4").nodes
+        >>> Marking.parse("2,4")
         (2, 4)
         """
         text = text.strip()
         if text in ("", "-"):
-            return cls(())
+            return cls()
         vals = []
         for tok in text.split(","):
             tok = tok.strip()
@@ -193,44 +193,29 @@ class Marking:
             vals.append(int(m.group(1)))
         if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)):
             raise DiagramError(f"marking must list ascending node ids: {text!r}")
-        return cls(tuple(vals))
+        return cls(vals)
 
     def validate_on(self, d: DynkinDiagram) -> "Marking":
-        for v in self.nodes:
+        for v in self:
             d.check_node(v)
         return self
 
     def union(self, other) -> "Marking":
-        return Marking(self.nodes + tuple(Marking.of(other).nodes))
+        return Marking((*self, *other))
 
     def minus(self, other) -> "Marking":
-        drop = set(Marking.of(other).nodes)
-        return Marking(tuple(v for v in self.nodes if v not in drop))
+        drop = set(other)
+        return Marking(v for v in self if v not in drop)
 
     def intersect(self, other) -> "Marking":
-        keep = set(Marking.of(other).nodes)
-        return Marking(tuple(v for v in self.nodes if v in keep))
+        keep = set(other)
+        return Marking(v for v in self if v in keep)
 
     def issubset(self, other) -> bool:
-        return set(self.nodes) <= set(Marking.of(other).nodes)
+        return set(self).issubset(other)
 
     def render(self) -> str:
-        return ",".join(str(v) for v in self.nodes) if self.nodes else "-"
-
-    def as_list(self) -> list[int]:
-        return list(self.nodes)
-
-    def __iter__(self):
-        return iter(self.nodes)
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def __contains__(self, v):
-        return v in self.nodes
-
-    def __bool__(self):
-        return bool(self.nodes)
+        return ",".join(map(str, self)) if self else "-"
 
 
 def parse_diagram_spec(text: str) -> DynkinDiagram:
@@ -325,7 +310,7 @@ def tree_path(d: DynkinDiagram, a: int, b: int) -> list[int] | None:
 def induced_components(d: DynkinDiagram, nodes) -> list[list[int]]:
     """Connected components of the induced subgraph, each sorted, ordered by
     smallest member."""
-    node_set = set(Marking.of(nodes).validate_on(d))
+    node_set = set(Marking(nodes).validate_on(d))
     seen: set[int] = set()
     comps = []
     for v in sorted(node_set):
@@ -393,10 +378,10 @@ def relabel_to_standard(d: DynkinDiagram, nodes, marking=()):
     Bourbaki labelings of each component, picks the one whose relabeled
     marking is lexicographically smallest (ties: smallest old-id sequence).
     """
-    node_list = sorted(set(Marking.of(nodes)))
+    node_list = Marking(nodes)
     if not node_list:
         return None, {}
-    mark_set = set(Marking.of(marking))
+    mark_set = set(marking)
     factors, mapping, off = [], {}, 0
 
     def key(ordering):

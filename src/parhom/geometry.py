@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dynkin import (DynkinDiagram, Marking, induced_components,
-                     parse_diagram_spec, relabel_to_standard)
+from .dynkin import DynkinDiagram, Marking, induced_components, relabel_to_standard
 from .rootweyl import generate_roots
 
 
@@ -29,8 +28,8 @@ class ParabolicPair:
     psi_q: Marking
 
     def __post_init__(self):
-        object.__setattr__(self, "psi_p", Marking.of(self.psi_p).validate_on(self.diagram))
-        object.__setattr__(self, "psi_q", Marking.of(self.psi_q).validate_on(self.diagram))
+        object.__setattr__(self, "psi_p", Marking(self.psi_p).validate_on(self.diagram))
+        object.__setattr__(self, "psi_q", Marking(self.psi_q).validate_on(self.diagram))
 
     @cached_property
     def union_marking(self) -> Marking:
@@ -52,11 +51,11 @@ def levi_split(d: DynkinDiagram, psi: Marking) -> tuple[tuple[int, ...], ...]:
     """Components of D minus the marking, as `induced_components` lists
     them; memoised per marking on the diagram's root system."""
     table = generate_roots(d).levi_splits
-    split = table.get(psi.nodes)
+    split = table.get(psi)
     if split is None:
         psi.validate_on(d)
-        free = [v for v in range(1, d.n + 1) if v not in psi.nodes]
-        split = table[psi.nodes] = tuple(map(tuple, induced_components(d, free)))
+        free = [v for v in range(1, d.n + 1) if v not in psi]
+        split = table[psi] = tuple(map(tuple, induced_components(d, free)))
     return split
 
 
@@ -64,12 +63,12 @@ def dim_flag(d: DynkinDiagram, psi) -> int:
     """Complex dimension of the flag space for a marking: the number of
     positive roots whose support meets the marked nodes.  Memoised per
     marking on the diagram's root system."""
-    psi = Marking.of(psi)
+    psi = Marking(psi)
     rs = generate_roots(d)
-    dim = rs.flag_dims.get(psi.nodes)
+    dim = rs.flag_dims.get(psi)
     if dim is None:
         mask = sum(1 << (v - 1) for v in psi.validate_on(d))
-        dim = rs.flag_dims[psi.nodes] = sum(1 for s in rs.support_masks if s & mask)
+        dim = rs.flag_dims[psi] = sum(1 for s in rs.support_masks if s & mask)
     return dim
 
 
@@ -88,7 +87,7 @@ class CycleDescriptor:
     dim: int
     is_point: bool
     is_whole_space: bool
-    # parsed back from type_string once per `RootSystem.cycles` entry; None for a point
+    # the diagram of the cycle type's own root system; None for a point
     diagram: DynkinDiagram | None
 
     def dim_recomputed(self) -> int:
@@ -106,14 +105,13 @@ def cycle_descriptor(pair: ParabolicPair) -> CycleDescriptor:
     surviving = pair.psi_p.minus(pair.psi_q)
     nodes = sum(pair.cycle_components, ())
     table = generate_roots(d).cycles
-    cycle = table.get((nodes, surviving.nodes))
+    cycle = table.get((nodes, surviving))
     if cycle is None:
         sub, mapping = relabel_to_standard(d, nodes, marking=surviving)
-        type_string = sub.type_string if sub is not None else ""
         # keep the cycle's root system's own diagram: one object per type
-        cycle = table[nodes, surviving.nodes] = (
-            type_string, Marking.of(mapping[v] for v in surviving),
-            generate_roots(parse_diagram_spec(type_string)).diagram if type_string else None)
+        cycle = table[nodes, surviving] = (
+            (sub.type_string, Marking(mapping[v] for v in surviving), generate_roots(sub).diagram)
+            if sub is not None else ("", Marking(), None))
     return CycleDescriptor(
         type_string=cycle[0],
         marking=cycle[1],

@@ -51,7 +51,7 @@ class AnalysisReport:
 
 def build_report(diagram: DynkinDiagram, psi_p, psi_q, with_chains: bool = False,
                  max_k: int = 32, weyl_limit=None, with_sizes: bool = True) -> AnalysisReport:
-    pair = ParabolicPair(diagram, Marking.of(psi_p), Marking.of(psi_q))
+    pair = ParabolicPair(diagram, psi_p, psi_q)
     d = pair.diagram
     red = reduction(pair)
     # the Q-cycle, and so the scan, depends only on red psi_q, which keeps
@@ -155,13 +155,13 @@ def report_to_dict(r: AnalysisReport) -> dict:
         "input": {
             "type": pair.diagram.type_string,
             "factors": _factor_echo(pair.diagram),
-            "psi_p": pair.psi_p.as_list(),
-            "psi_q": pair.psi_q.as_list(),
+            "psi_p": list(pair.psi_p),
+            "psi_q": list(pair.psi_q),
         },
         "dims": {"flag_p": r.dim_gp, "flag_q": r.dim_gq, "flag_pq": r.dim_gpq},
         "cycle": {
             "type": r.cycle.type_string,
-            "marking": r.cycle.marking.as_list(),
+            "marking": list(r.cycle.marking),
             "dim": r.cycle.dim,
             "is_point": r.cycle.is_point,
             "is_whole_space": r.cycle.is_whole_space,
@@ -174,11 +174,11 @@ def report_to_dict(r: AnalysisReport) -> dict:
             "note": _TOWER_NOTE,
         },
         "reduction": {
-            "reduced": r.red.reduced_marking.as_list(),
+            "reduced": list(r.red.reduced_marking),
             "already_reduced": r.red.is_already_reduced,
             "witnesses": {str(k): list(v) for k, v in sorted(r.red.forced_witnesses.items())},
         },
-        "quotient_marking": r.quotient.as_list(),
+        "quotient_marking": list(r.quotient),
         "connectivity": connectivity,
         "boundary_class": r.boundary.value,
         "flags": {

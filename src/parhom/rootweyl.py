@@ -103,10 +103,10 @@ class RootSystem:
     def weight_orbit(self, marking) -> "WeightOrbit":
         """The orbit of lambda_P for this marking.  The last one built is
         kept, so a sweep over psi_q for one psi_p builds it once."""
-        key = tuple(Marking.of(marking))
-        if self._orbit is None or self._orbit.marking != key:
+        marking = Marking(marking)
+        if self._orbit is None or self._orbit.marking != marking:
             self._orbit = None  # release the old orbit before building
-            self._orbit = WeightOrbit(self, key)
+            self._orbit = WeightOrbit(self, marking)
         return self._orbit
 
     def __repr__(self):
@@ -134,12 +134,12 @@ class WeightOrbit:
     maps it to m_j - m_i*C[i][j].  Points are listed level by level from
     lambda, each level the images of the previous one under the s_i with
     m_i > 0.  Such a move lengthens the minimal coset representative by
-    one, so `depth[x]` is that length and does not decrease with x.
-    `neighbours[x, i]` is the index of s_{i+1}*x: x itself when
-    m_{i+1} = 0, otherwise the other end of an upward move.
+    one, so a level holds the cosets of one length.  `neighbours[x, i]`
+    is the index of s_{i+1}*x: x itself when m_{i+1} = 0, otherwise the
+    other end of an upward move.
     """
 
-    def __init__(self, rs: RootSystem, marking: tuple[int, ...]):
+    def __init__(self, rs: RootSystem, marking: Marking):
         n = rs.diagram.n
         # |m_j| <= <lambda, highest coroot>, at most 6 per marked node, so
         # int16 holds the labels of any orbit that fits in memory
@@ -163,12 +163,11 @@ class WeightOrbit:
             blocks.append(block)
             start = nxt
         self.marking = marking
-        self.scans = {}  # (psi_q nodes, max_k) -> one scan (`connectivity._scan`)
-        self.depth = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+        self.scans = {}  # (psi_q, max_k) -> one scan (`connectivity._scan`)
         self.neighbours = np.concatenate(blocks)
 
     def __len__(self):
-        return len(self.depth)
+        return len(self.neighbours)
 
 
 @lru_cache(maxsize=None)
@@ -186,14 +185,14 @@ def weyl_order(d: DynkinDiagram, psi=()) -> int:
     >>> weyl_order(parse_diagram_spec("E8")), weyl_order(parse_diagram_spec("E8"), [4])
     (696729600, 1440)
     """
-    psi = Marking.of(psi)
+    psi = Marking(psi)
     rs = generate_roots(d)
-    order = rs.weyl_orders.get(psi.nodes)
+    order = rs.weyl_orders.get(psi)
     if order is None:
         mask = sum(1 << (v - 1) for v in psi.validate_on(d))
         heights = [sum(root) for root, support in zip(rs.positive_roots, rs.support_masks)
                    if not support & mask]
-        order = rs.weyl_orders[psi.nodes] = prod(h + 1 for h in heights) // prod(heights)
+        order = rs.weyl_orders[psi] = prod(h + 1 for h in heights) // prod(heights)
     return order
 
 

@@ -35,7 +35,7 @@ def is_separating(pair: ParabolicPair, chi) -> bool:
     connected-subdiagram form of the condition, since a connected subgraph
     of a tree contains the unique path between any two of its nodes."""
     d = pair.diagram
-    chi_set = set(Marking.of(chi).validate_on(d))
+    chi_set = set(Marking(chi).validate_on(d))
     for p in pair.psi_p:
         for q in pair.psi_q:
             path = tree_path(d, p, q)
@@ -60,7 +60,7 @@ def reduction(pair: ParabolicPair) -> ReductionResult:
                 kept.append(q)
                 witnesses[q] = path
                 break
-    reduced = Marking.of(kept)
+    reduced = Marking(kept)
     return ReductionResult(reduced, reduced == pair.psi_q, witnesses)
 
 
@@ -95,14 +95,14 @@ def brute_force_reduction(pair: ParabolicPair) -> Marking:
         raise NonUniqueReductionError(
             f"no unique minimal separating subset of {pair.psi_q.render()} "
             f"for psi_p={pair.psi_p.render()} on {d.type_string}")
-    return Marking.of(meet)
+    return Marking(meet)
 
 
 def larger_automorphism_case(pair: ParabolicPair):
     """The larger-automorphism entry matched on P mod Q = the reduction of
     (psi_q, psi_p); first matching factor wins."""
     p_reduced = parhom.reduction(swapped(pair)).reduced_marking
-    for fam, rank, p, _ in _local_markings(pair.diagram, p_reduced, Marking.of(())):
+    for fam, rank, p, _ in _local_markings(pair.diagram, p_reduced, Marking(())):
         if fam == "C" and p == (1,):
             return LargerAutomorphismCase.ODD_SYMPLECTIC_PROJECTIVE
         if fam == "B" and p == (rank,):

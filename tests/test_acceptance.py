@@ -71,7 +71,7 @@ def test_criterion_1_connectivity_theorem():
                 if not p:
                     continue
                 for q in subs:
-                    pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+                    pair = ParabolicPair(d, Marking(p), Marking(q))
                     res = chain_analysis(pair)
                     criterion = not (set(p) & set(q))
                     if not res.complete or res.connected != criterion:
@@ -93,7 +93,7 @@ def test_criterion_2_reduction_oracle():
             subs = subsets(d.n)
             for p in subs:
                 for q in subs:
-                    pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+                    pair = ParabolicPair(d, Marking(p), Marking(q))
                     fast = reduction(pair).reduced_marking
                     slow = brute_force_reduction(pair)  # raises if non-unique
                     if fast != slow:
@@ -112,9 +112,9 @@ def test_criterion_3_moduli_consistency():
             subs = subsets(d.n)
             for p in subs:
                 for q in subs:
-                    pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+                    pair = ParabolicPair(d, Marking(p), Marking(q))
                     reduced = reduction(pair).reduced_marking
-                    alt = ParabolicPair(d, Marking.of(p), reduced)
+                    alt = ParabolicPair(d, Marking(p), reduced)
                     if cycle_descriptor(pair).dim != cycle_descriptor(alt).dim:
                         mismatches.append((spec, p, q))
         assert mismatches == []
@@ -150,14 +150,14 @@ def test_criterion_5_involution_cross_check():
 
 def test_criterion_6_worked_grassmannian():
     def body():
-        pair = ParabolicPair(parse_diagram_spec("A3"), Marking.of([2]), Marking.of([1]))
+        pair = ParabolicPair(parse_diagram_spec("A3"), Marking([2]), Marking([1]))
         desc = cycle_descriptor(pair)
         assert desc.dim == 2
         assert desc.type_string == "A2"
-        assert desc.marking.nodes == (1,)  # an end of the A2 diagram
+        assert desc.marking == (1,)  # an end of the A2 diagram
         from test_geometry import dual_cycle_dim
         assert dual_cycle_dim(pair) == 1
-        assert reduction(pair).reduced_marking.nodes == (1,)
+        assert reduction(pair).reduced_marking == (1,)
         res = chain_analysis(pair)
         assert res.reachable_dims == [0, 3, 4]
         assert res.minimal_n == 2
@@ -188,7 +188,7 @@ def test_criterion_7_exception_tables():
     def expected_larger(spec, p, q):
         # independent route: brute-force the reduction of P mod Q
         d = parse_diagram_spec(spec)
-        pair = ParabolicPair(d, Marking.of(q), Marking.of(p))
+        pair = ParabolicPair(d, Marking(q), Marking(p))
         reduced_p = tuple(brute_force_reduction(pair))
         fam, rank = d.factors[0].family, d.factors[0].rank
         for (f, marker), case in larger_table.items():
@@ -203,7 +203,7 @@ def test_criterion_7_exception_tables():
             flagged = set()
             for p in subs:
                 for q in subs:
-                    pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+                    pair = ParabolicPair(d, Marking(p), Marking(q))
                     flags = exception_flags(pair)
                     if flags.mok_zhang_exception:
                         flagged.add((p, q))

@@ -13,13 +13,14 @@ from parhom import (BoundaryClass, ConsistencyError, GuardLimitError, LargerAuto
                     Marking, ParabolicPair, boundary_codim_class,
                     chain_analysis, connectivity_quotient, dim_flag,
                     exception_flags, exception_notes, generate_roots,
-                    is_cycle_connected, is_separating, levi_generators,
-                    parse_diagram_spec, reduction, tree_path, weyl_order)
+                    is_cycle_connected, is_separating, parse_diagram_spec,
+                    reduction, tree_path, weyl_order)
 from parhom.cli import main
 from parhom.report import build_report
 from demazure_oracle import demazure_chain_scan
 from reduction_oracle import brute_force_reduction, swapped
-from weyl_oracle import outside_levi_indices, perm_tables, permutation_closure
+from weyl_oracle import (levi_generators, outside_levi_indices, perm_tables,
+                         permutation_closure)
 
 
 def subsets(n):
@@ -27,7 +28,7 @@ def subsets(n):
 
 
 def pair_of(spec, p, q):
-    return ParabolicPair(parse_diagram_spec(spec), Marking.of(p), Marking.of(q))
+    return ParabolicPair(parse_diagram_spec(spec), Marking(p), Marking(q))
 
 
 # (type, cominuscule node, rank of the Hermitian symmetric space G/P)
@@ -108,23 +109,23 @@ class TestSeparation:
 class TestReduction:
     def test_shielded_node_dropped(self):
         res = reduction(pair_of("A4", [2], [1, 3, 4]))
-        assert res.reduced_marking.nodes == (1, 3)
+        assert res.reduced_marking == (1, 3)
         assert not res.is_already_reduced
 
     def test_shared_node_forced(self):
         res = reduction(pair_of("A4", [2, 3], [3]))
-        assert res.reduced_marking.nodes == (3,)
+        assert res.reduced_marking == (3,)
         assert res.is_already_reduced
         assert res.forced_witnesses[3][-1] == 3
 
     def test_zero_length_path_forces_shared_singleton(self):
         res = reduction(pair_of("A4", [3], [3]))
-        assert res.reduced_marking.nodes == (3,)
+        assert res.reduced_marking == (3,)
         assert res.forced_witnesses[3] == [3]
 
     def test_both_sides_kept(self):
         res = reduction(pair_of("A4", [2], [1, 4]))
-        assert res.reduced_marking.nodes == (1, 4)
+        assert res.reduced_marking == (1, 4)
         assert res.is_already_reduced
 
     def test_witness_paths_first_hit_at_target(self):
@@ -136,10 +137,10 @@ class TestReduction:
             assert next(v for v in path if v in q_set) == q
 
     def test_empty_cases(self):
-        assert brute_force_reduction(pair_of("A3", [2], ())).nodes == ()
-        assert brute_force_reduction(pair_of("A3", (), [1, 3])).nodes == ()
-        assert reduction(pair_of("A3", [2], ())).reduced_marking.nodes == ()
-        assert reduction(pair_of("A3", (), [1, 3])).reduced_marking.nodes == ()
+        assert brute_force_reduction(pair_of("A3", [2], ())) == ()
+        assert brute_force_reduction(pair_of("A3", (), [1, 3])) == ()
+        assert reduction(pair_of("A3", [2], ())).reduced_marking == ()
+        assert reduction(pair_of("A3", (), [1, 3])).reduced_marking == ()
 
     @pytest.mark.parametrize("spec", ["A4", "B3", "D4", "A2xA2", "A1xB2", "G2"])
     def test_matches_bruteforce_and_idempotent(self, spec):
@@ -147,11 +148,11 @@ class TestReduction:
         subs = subsets(d.n)
         for p in subs:
             for q in subs:
-                pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+                pair = ParabolicPair(d, Marking(p), Marking(q))
                 got = reduction(pair).reduced_marking
                 assert got == brute_force_reduction(pair)
                 assert is_separating(pair, got)
-                again = reduction(ParabolicPair(d, Marking.of(p), got))
+                again = reduction(ParabolicPair(d, Marking(p), got))
                 assert again.reduced_marking == got
                 assert again.is_already_reduced
 
@@ -166,7 +167,7 @@ class TestReduction:
 
     def test_bruteforce_size_guard(self):
         d = parse_diagram_spec("A5xA5xA5xA5xA5")
-        pair = ParabolicPair(d, Marking.of([1]), Marking.of(range(1, 22)))
+        pair = ParabolicPair(d, Marking([1]), Marking(range(1, 22)))
         with pytest.raises(ValueError, match="<= 20"):
             brute_force_reduction(pair)
 
@@ -182,9 +183,9 @@ class TestConnectivityCriterion:
         assert not is_cycle_connected(pair_of("A2xA2", [1, 3], [2, 3]))
 
     def test_quotient_marking(self):
-        assert connectivity_quotient(pair_of("A3", [2], [1])).nodes == ()
-        assert connectivity_quotient(pair_of("A3", [1, 2], [2, 3])).nodes == (2,)
-        assert connectivity_quotient(pair_of("A3", [1, 3], [1, 3])).nodes == (1, 3)
+        assert connectivity_quotient(pair_of("A3", [2], [1])) == ()
+        assert connectivity_quotient(pair_of("A3", [1, 2], [2, 3])) == (2,)
+        assert connectivity_quotient(pair_of("A3", [1, 3], [1, 3])) == (1, 3)
 
 
 class TestChainAnalysis:
@@ -194,7 +195,7 @@ class TestChainAnalysis:
         assert res.minimal_n == 2
         assert res.reachable_sizes == [4, 20, 24]
         assert res.reachable_dims == [0, 3, 4]
-        assert res.quotient_marking.nodes == ()
+        assert res.quotient_marking == ()
         assert res.complete
 
     def test_point_cycles_stall(self):
@@ -231,7 +232,7 @@ class TestChainAnalysis:
         subs = subsets(d.n)
         for p in subs:
             for q in subs:
-                pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+                pair = ParabolicPair(d, Marking(p), Marking(q))
                 assert scan_fields(chain_analysis(pair)) == permutation_chain_scan(pair), \
                     (spec, p, q)
 
@@ -240,7 +241,7 @@ class TestChainAnalysis:
         subs = subsets(d.n)
         pairs = random.Random(0).sample([(p, q) for p in subs for q in subs], 40)
         for p, q in pairs:
-            pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+            pair = ParabolicPair(d, Marking(p), Marking(q))
             assert scan_fields(chain_analysis(pair)) == permutation_chain_scan(pair), (p, q)
 
     def test_truncated_scan_matches_permutation_scan(self):
@@ -281,7 +282,7 @@ class TestChainAnalysis:
                 res = build_report(d, p, q, with_chains=True).chains
                 assert (res.minimal_n, res.reachable_dims, res.complete) == \
                     demazure_chain_scan(d, p, q), (spec, p, q)
-                assert res.quotient_marking == Marking.of(set(p) & set(q))
+                assert res.quotient_marking == Marking(set(p) & set(q))
 
     @pytest.mark.parametrize("spec,node,rank", HERMITIAN_RANKS,
                              ids=[f"{t}-{v}" for t, v, _ in HERMITIAN_RANKS])
@@ -289,8 +290,8 @@ class TestChainAnalysis:
         # psi_q = the neighbours of a cominuscule psi_p makes the cycles
         # lines; the minimal chain is then the rank of G/P
         d = parse_diagram_spec(spec)
-        res = chain_analysis(ParabolicPair(d, Marking.of([node]),
-                                           Marking.of(d.adjacency[node])))
+        res = chain_analysis(ParabolicPair(d, Marking([node]),
+                                           Marking(d.adjacency[node])))
         assert res.minimal_n == rank
 
     def test_sizes_monotone_and_dims_bounded(self):
@@ -301,7 +302,7 @@ class TestChainAnalysis:
                 if not p:
                     continue
                 for q in subs:
-                    pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+                    pair = ParabolicPair(d, Marking(p), Marking(q))
                     res = chain_analysis(pair)
                     s = res.reachable_sizes
                     assert all(s[i] < s[i + 1] for i in range(len(s) - 2))
@@ -337,7 +338,7 @@ class TestChainAnalysis:
             subs = subsets(d.n)
             for p in subs:
                 for q in subs:
-                    pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+                    pair = ParabolicPair(d, Marking(p), Marking(q))
                     n_pq = chain_analysis(pair).minimal_n
                     n_qp = chain_analysis(swapped(pair)).minimal_n
                     assert (n_pq is None) == (n_qp is None)
@@ -426,7 +427,7 @@ class TestExceptionFlags:
         d = parse_diagram_spec("A3")
         for p in subsets(3):
             for q in subsets(3):
-                flags = exception_flags(ParabolicPair(d, Marking.of(p), Marking.of(q)))
+                flags = exception_flags(ParabolicPair(d, Marking(p), Marking(q)))
                 assert not flags.mok_zhang_exception
 
     def test_b_i1_degenerate_not_flagged_but_noted(self):
@@ -450,7 +451,7 @@ class TestExceptionFlags:
         # a mark in a factor untouched by psi_q drops out of the reduction
         pair = pair_of("C3xA2", [1, 4], [2])
         red_p = reduction(swapped(pair)).reduced_marking
-        assert red_p.nodes == (1,)
+        assert red_p == (1,)
         assert exception_flags(pair).larger_automorphism_case \
             is LargerAutomorphismCase.ODD_SYMPLECTIC_PROJECTIVE
 

@@ -21,4 +21,4 @@ def test_examples_are_found():
     """A module whose examples stop being collected would pass silently."""
     counts = {name: doctest.testmod(importlib.import_module(name)).attempted
               for name in ("parhom.dynkin", "parhom.connectivity", "parhom.rootweyl")}
-    assert counts == {"parhom.dynkin": 3, "parhom.connectivity": 3, "parhom.rootweyl": 2}
+    assert counts == {"parhom.dynkin": 4, "parhom.connectivity": 3, "parhom.rootweyl": 2}

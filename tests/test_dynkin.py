@@ -241,13 +241,23 @@ class TestStructure:
 class TestMarking:
     def test_parse_and_render(self):
         m = Marking.parse("2,4")
-        assert m.nodes == (2, 4)
+        assert m == (2, 4)
         assert m.render() == "2,4"
-        assert Marking.parse("-").nodes == ()
+        assert Marking.parse("-") == ()
         assert Marking.parse("").render() == "-"
 
     def test_sorted_dedup(self):
-        assert Marking.of([3, 1, 3]).nodes == (1, 3)
+        assert Marking([3, 1, 3]) == (1, 3)
+
+    def test_a_marking_is_a_bare_immutable_tuple(self):
+        m = Marking([3, 1])
+        assert not hasattr(m, "__dict__")
+        with pytest.raises(TypeError):
+            m[0] = 2
+        with pytest.raises(AttributeError):
+            m.extra = 1
+        assert hash(m) == hash((1, 3))
+        assert {(1, 3): "key"}[m] == "key"
 
     def test_ascending_required(self):
         with pytest.raises(DiagramError, match="ascending"):
@@ -260,7 +270,7 @@ class TestMarking:
     def test_overlong_token_out_of_range(self):
         with pytest.raises(DiagramError, match="out of range"):
             Marking.parse("1," + "9" * 5000)
-        assert Marking.parse("0041").nodes == (41,)
+        assert Marking.parse("0041") == (41,)
 
     def test_validate_on(self):
         d = parse_diagram_spec("A3")
@@ -268,11 +278,11 @@ class TestMarking:
             Marking.parse("9").validate_on(d)
 
     def test_set_ops(self):
-        a, b = Marking.of([1, 2]), Marking.of([2, 3])
-        assert a.union(b).nodes == (1, 2, 3)
-        assert a.minus(b).nodes == (1,)
-        assert a.intersect(b).nodes == (2,)
-        assert Marking.of([2]).issubset(a)
+        a, b = Marking([1, 2]), Marking([2, 3])
+        assert a.union(b) == (1, 2, 3)
+        assert a.minus(b) == (1,)
+        assert a.intersect(b) == (2,)
+        assert Marking([2]).issubset(a)
 
 
 class TestRelabel:

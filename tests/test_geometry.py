@@ -89,38 +89,38 @@ class TestDimFlag:
 
 class TestCycleDescriptor:
     def test_plane_pencil(self):
-        pair = ParabolicPair(parse_diagram_spec("A3"), Marking.of([2]), Marking.of([1]))
+        pair = ParabolicPair(parse_diagram_spec("A3"), Marking([2]), Marking([1]))
         desc = cycle_descriptor(pair)
         assert desc.type_string == "A2"
-        assert desc.marking.nodes == (1,)
+        assert desc.marking == (1,)
         assert desc.dim == 2
         assert not desc.is_point and not desc.is_whole_space
 
     def test_point_when_q_inside_p(self):
-        pair = ParabolicPair(parse_diagram_spec("A3"), Marking.of([2]), Marking.of([2]))
+        pair = ParabolicPair(parse_diagram_spec("A3"), Marking([2]), Marking([2]))
         desc = cycle_descriptor(pair)
         assert desc.is_point and desc.dim == 0 and desc.type_string == ""
 
     def test_whole_space_when_q_is_everything(self):
-        pair = ParabolicPair(parse_diagram_spec("A3"), Marking.of([2]), Marking.of(()))
+        pair = ParabolicPair(parse_diagram_spec("A3"), Marking([2]), Marking(()))
         desc = cycle_descriptor(pair)
         assert desc.is_whole_space and desc.dim == 4
 
     def test_f4_tail_gives_c3(self):
-        pair = ParabolicPair(parse_diagram_spec("F4"), Marking.of([4]), Marking.of([1]))
+        pair = ParabolicPair(parse_diagram_spec("F4"), Marking([4]), Marking([1]))
         desc = cycle_descriptor(pair)
         assert desc.type_string == "C3"
-        assert desc.marking.nodes == (1,)
+        assert desc.marking == (1,)
         assert desc.dim == 5
         assert desc.dim == desc.dim_recomputed()
 
     def test_unmarked_components_dropped(self):
         # removing the middle of A5 strands the far end; only the component
         # meeting the surviving marks stays
-        pair = ParabolicPair(parse_diagram_spec("A5"), Marking.of([1]), Marking.of([3]))
+        pair = ParabolicPair(parse_diagram_spec("A5"), Marking([1]), Marking([3]))
         desc = cycle_descriptor(pair)
         assert desc.type_string == "A2"
-        assert desc.marking.nodes == (1,)
+        assert desc.marking == (1,)
 
     @pytest.mark.parametrize("spec", ["F4"] + diagrams_up_to_rank(5))
     def test_exhaustive_consistency(self, spec):
@@ -128,7 +128,7 @@ class TestCycleDescriptor:
         subs = subsets(d.n)
         for p in subs:
             for q in subs:
-                pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+                pair = ParabolicPair(d, Marking(p), Marking(q))
                 desc = cycle_descriptor(pair)
                 assert desc.dim == direct_cycle_dim(d, p, q)
                 assert desc.dim == desc.dim_recomputed()
@@ -142,35 +142,35 @@ class TestCycleDescriptor:
         subs = subsets(d.n)
         for p in subs:
             for q in subs:
-                pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+                pair = ParabolicPair(d, Marking(p), Marking(q))
                 reduced = reduction(pair).reduced_marking
-                alt = ParabolicPair(d, Marking.of(p), reduced)
+                alt = ParabolicPair(d, Marking(p), reduced)
                 assert cycle_descriptor(alt).dim == cycle_descriptor(pair).dim
 
 
 class TestDualCycleDim:
     def test_lines_in_a_plane(self):
-        pair = ParabolicPair(parse_diagram_spec("A3"), Marking.of([2]), Marking.of([1]))
+        pair = ParabolicPair(parse_diagram_spec("A3"), Marking([2]), Marking([1]))
         assert dual_cycle_dim(pair) == 1
 
     def test_symmetric_pair_is_point(self):
-        pair = ParabolicPair(parse_diagram_spec("B3"), Marking.of([1, 3]), Marking.of([1, 3]))
+        pair = ParabolicPair(parse_diagram_spec("B3"), Marking([1, 3]), Marking([1, 3]))
         assert dual_cycle_dim(pair) == 0
 
     def test_p_inside_q(self):
-        pair = ParabolicPair(parse_diagram_spec("A3"), Marking.of([1, 2, 3]), Marking.of([1]))
+        pair = ParabolicPair(parse_diagram_spec("A3"), Marking([1, 2, 3]), Marking([1]))
         assert dual_cycle_dim(pair) == 0
 
 
 class TestTowerDims:
     def test_worked_example(self):
-        pair = ParabolicPair(parse_diagram_spec("A3"), Marking.of([2]), Marking.of([1]))
+        pair = ParabolicPair(parse_diagram_spec("A3"), Marking([2]), Marking([1]))
         t = tower_dims(pair)
         assert (t.k_cycle, t.l_dual) == (2, 1)
         assert t.tower_dim_at(2) == 6
 
     def test_point_cycles(self):
-        pair = ParabolicPair(parse_diagram_spec("A3"), Marking.of([2]), Marking.of([1, 2]))
+        pair = ParabolicPair(parse_diagram_spec("A3"), Marking([2]), Marking([1, 2]))
         t = tower_dims(pair)
         assert t.k_cycle == 0
         assert t.tower_dim_at(3) == 3 * t.l_dual
@@ -181,7 +181,7 @@ class TestTowerDims:
         subs = subsets(d.n)
         for p in subs:
             for q in subs:
-                pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+                pair = ParabolicPair(d, Marking(p), Marking(q))
                 t = tower_dims(pair)
                 u = pair.union_marking
                 assert t.tower_dim_at(0) == 0
@@ -191,6 +191,6 @@ class TestTowerDims:
                     assert t.tower_dim_at(2) > t.tower_dim_at(1)
 
     def test_negative_level_rejected(self):
-        pair = ParabolicPair(parse_diagram_spec("A2"), Marking.of([1]), Marking.of([2]))
+        pair = ParabolicPair(parse_diagram_spec("A2"), Marking([1]), Marking([2]))
         with pytest.raises(ValueError):
             tower_dims(pair).tower_dim_at(-1)

@@ -61,6 +61,6 @@ def test_e8_chain_table_minimal_n_matches_demazure_oracle():
     d = parse_diagram_spec("E8")
     for row in random.Random(8).sample(rows[1:], 500):
         fields = dict(zip(TSV_COLUMNS, row.split("\t")))
-        p, q = (Marking.parse(fields[k]).nodes for k in ("psi_p", "psi_q"))
+        p, q = (Marking.parse(fields[k]) for k in ("psi_p", "psi_q"))
         minimal_n, _, complete = demazure_chain_scan(d, p, q)
         assert complete and fields["minimal_n"] == str(minimal_n or "-"), row

@@ -123,7 +123,7 @@ def test_dim_flag_matches_closed_form_cold_and_warm(spec):
     generate_roots.cache_clear()
     assert {p: dim_flag(d, p) for p in want} == want  # every lookup a miss
     assert len(generate_roots(d).flag_dims) == 2 ** d.n
-    assert {p: dim_flag(d, Marking.of(p)) for p in want} == want  # every one a hit
+    assert {p: dim_flag(d, Marking(p)) for p in want} == want  # every one a hit
 
 
 def test_closed_form_knows_the_exceptional_groups():
@@ -178,7 +178,7 @@ def test_mutating_a_relabel_mapping_leaves_the_cycle_alone(warm_e6):
     mapping[100] = 1
     after = cycle_descriptor(pair)
     assert after == before
-    assert after.marking.nodes == tuple(
+    assert after.marking == tuple(
         relabel_to_standard(d, nodes, marking=[1, 6])[1][v] for v in (1, 6))
 
 
@@ -207,7 +207,7 @@ def test_weyl_orders_warm_equal_cold(spec):
     generate_roots.cache_clear()
     assert {p: weyl_order(d, p) for p in cold} == cold  # every lookup a miss
     assert len(generate_roots(d).weyl_orders) == 2 ** d.n
-    assert {p: weyl_order(d, Marking.of(p)) for p in cold} == cold  # every one a hit
+    assert {p: weyl_order(d, Marking(p)) for p in cold} == cold  # every one a hit
 
 
 def test_bad_nodes_raise_against_a_warm_weyl_order_table():

@@ -1,7 +1,8 @@
 """The component-split `reduction` and `is_separating` against their
 path-walking oracles, exhaustively at low rank and by Hypothesis on random
 diagrams of rank <= 8, reduced-pair invariance of the cycle and of the
-chain scan, and the chain scan's Demazure lengths against the oracle's."""
+chain scan, the chain scan's Demazure lengths against the oracle's, and its
+orbit sizes against the permutation-row scan."""
 
 import random
 from datetime import timedelta
@@ -16,6 +17,8 @@ from demazure_oracle import demazure_chain_scan
 from parhom import (Marking, ParabolicPair, chain_analysis, cycle_descriptor,
                     is_separating, parse_diagram_spec, reduction)
 from reduction_oracle import brute_force_reduction
+from test_connectivity import permutation_chain_scan, scan_fields
+from weyl_oracle import classical_weyl_order
 
 # every factor of rank <= 8, in the ranks the parser accepts
 FACTORS = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
@@ -44,7 +47,7 @@ def diagrams(draw, max_rank=8):
 @st.composite
 def pairs_and_chi(draw, max_rank=8):
     d = draw(diagrams(max_rank))
-    marking = st.sets(st.integers(1, d.n)).map(Marking.of)
+    marking = st.sets(st.integers(1, d.n)).map(Marking)
     return ParabolicPair(d, draw(marking), draw(marking)), draw(marking)
 
 
@@ -58,7 +61,7 @@ def test_matches_path_walking_on_every_pair(spec):
     subs = subsets(d.n)
     for p in subs:
         for q in subs:
-            pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+            pair = ParabolicPair(d, Marking(p), Marking(q))
             got = reduction(pair)
             assert got == oracle.reduction(pair), (spec, p, q)
             random_chi = [v for v in range(1, d.n + 1) if rng.random() < 0.5]
@@ -102,7 +105,32 @@ def test_rho_lengths_match_demazure_oracle(case):
         res = chain_analysis(pair, max_k=max_k, weyl_limit=10 ** 9, with_sizes=False)
         assert res.reachable_sizes == []
         assert (res.minimal_n, res.reachable_dims, res.complete) == demazure_chain_scan(
-            pair.diagram, pair.psi_p.nodes, pair.psi_q.nodes, max_k)
+            pair.diagram, pair.psi_p, pair.psi_q, max_k)
+
+
+@st.composite
+def small_weyl_pairs(draw, max_order=10_000):
+    """A pair on a diagram with |W| <= max_order, products included; |W| is
+    the product of the factors' closed-form orders."""
+    factors, budget = [], max_order
+    while not factors or draw(st.booleans()):
+        fits = [f for f in FACTORS if classical_weyl_order(f[0], int(f[1:])) <= budget]
+        if not fits:
+            break
+        factor = draw(st.sampled_from(fits))
+        factors.append(factor)
+        budget //= classical_weyl_order(factor[0], int(factor[1:]))
+    d = parse_diagram_spec("x".join(factors))
+    marking = st.sets(st.integers(1, d.n)).map(Marking)
+    return ParabolicPair(d, draw(marking), draw(marking))
+
+
+# the orbit scan against the permutation-row scan on W itself, which shares
+# no code with it
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_weyl_pairs(), st.sampled_from([32, 2, 1]))
+def test_orbit_scan_matches_the_permutation_scan(pair, max_k):
+    assert scan_fields(chain_analysis(pair, max_k=max_k)) == permutation_chain_scan(pair, max_k)
 
 
 def chain_summary(pair):
@@ -119,7 +147,7 @@ def test_chain_scan_depends_only_on_the_reduction_on_every_pair(spec):
     d = parse_diagram_spec(spec)
     for p in subsets(d.n):
         for q in subsets(d.n):
-            pair = ParabolicPair(d, Marking.of(p), Marking.of(q))
+            pair = ParabolicPair(d, Marking(p), Marking(q))
             assert chain_summary(pair) == chain_summary(with_reduced_q(pair)), (spec, p, q)
 
 

@@ -1,6 +1,7 @@
 """Report assembly, JSON schema, TSV rows, CLI behavior and exit codes."""
 
 import json
+from itertools import chain, combinations
 
 import pytest
 
@@ -12,7 +13,7 @@ from parhom.report import TSV_COLUMNS
 
 
 def report_for(spec, p, q, **kw):
-    return build_report(parse_diagram_spec(spec), Marking.of(p), Marking.of(q), **kw)
+    return build_report(parse_diagram_spec(spec), Marking(p), Marking(q), **kw)
 
 
 class TestReport:
@@ -107,6 +108,41 @@ class TestReport:
         assert row[2] == "-" and row[7] == "-"
 
 
+def rendered_again(text, compact):
+    """`text` parsed and rendered again the way the CLI renders it."""
+    obj = json.loads(text)
+    return json.dumps(obj, separators=(",", ":")) if compact else json.dumps(obj, indent=2)
+
+
+class TestJsonRoundTrip:
+    """Parsing a printed report and rendering it again gives the same bytes."""
+
+    @pytest.mark.parametrize("chains", [False, True])
+    @pytest.mark.parametrize("spec", ["A3", "B3", "G2", "A2xG2"])
+    def test_analyze_json_on_every_pair(self, capsys, spec, chains):
+        n = parse_diagram_spec(spec).n
+        markings = [Marking(m).render() for m in chain.from_iterable(
+            combinations(range(1, n + 1), k) for k in range(n + 1))]
+        for p in markings:
+            for q in markings:
+                argv = ["analyze", "--type", spec, "--p", p, "--q", q, "--json"]
+                assert main(argv + ["--chain-length"] * chains) == 0
+                text = capsys.readouterr().out
+                assert text.endswith("}\n")
+                assert rendered_again(text[:-1], compact=False) == text[:-1], (p, q)
+
+    @pytest.mark.parametrize("chains", [False, True])
+    @pytest.mark.parametrize("spec", ["A3", "B3", "G2", "A2xG2"])
+    def test_enumerate_json_on_every_pair(self, capsys, spec, chains):
+        argv = ["enumerate", "--type", spec, "--format", "json"]
+        assert main(argv + ["--with-chains"] * chains) == 0
+        lines = capsys.readouterr().out.splitlines()
+        n = parse_diagram_spec(spec).n
+        assert len(lines) == (2 ** n - 1) * 2 ** n
+        for line in lines:
+            assert rendered_again(line, compact=True) == line
+
+
 class TestCliAnalyze:
     def test_success_text(self, capsys):
         assert main(["analyze", "--type", "A3", "--p", "2", "--q", "1",
@@ -179,7 +215,7 @@ class TestCliEnumerate:
     def test_rows_lexicographic(self, capsys):
         assert main(["enumerate", "--type", "A2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()[1:]
-        keys = [(Marking.parse(l.split("\t")[1]).nodes, Marking.parse(l.split("\t")[2]).nodes)
+        keys = [(Marking.parse(l.split("\t")[1]), Marking.parse(l.split("\t")[2]))
                 for l in lines]
         assert keys == sorted(keys)
 

@@ -45,10 +45,17 @@ def classical_weyl_order(family: str, rank: int) -> int:
     return _EXCEPTIONAL_ORDER[(family, rank)]
 
 
+def levi_generators(d: DynkinDiagram, marking) -> Marking:
+    """Unmarked nodes: the simple reflections generating the Levi's Weyl
+    subgroup for this marking."""
+    marked = set(Marking(marking).validate_on(d))
+    return Marking(v for v in range(1, d.n + 1) if v not in marked)
+
+
 def weyl_order_estimate(d: DynkinDiagram, generators) -> int:
     """Order of the reflection subgroup generated by the given nodes, read
     off the classification of the induced subdiagram."""
-    gens = Marking.of(generators).validate_on(d)
+    gens = Marking(generators).validate_on(d)
     if not gens:
         return 1
     sub, _ = relabel_to_standard(d, gens)
@@ -120,7 +127,7 @@ def permutation_closure(rs: RootSystem, rows: np.ndarray, gen_nodes,
             seen.add(kb)
             keep.append(idx)
     rows = rows[keep]
-    gens = [t.simple_perm[g - 1] for g in Marking.of(gen_nodes)]
+    gens = [t.simple_perm[g - 1] for g in Marking(gen_nodes)]
     blocks = [rows]
     total = len(rows)
     if limit is not None and total > limit:
@@ -213,7 +220,7 @@ class WeylSubset:
         self.rs = rs
         self.rows = rows
         self.generators_marking = (
-            Marking.of(generators_marking) if generators_marking is not None else None)
+            Marking(generators_marking) if generators_marking is not None else None)
         self._keys: frozenset[bytes] | None = None
 
     def key_set(self) -> frozenset[bytes]:
@@ -243,7 +250,7 @@ class WeylSubset:
 def enumerate_weyl(rs: RootSystem, generators, weyl_limit=None) -> WeylSubset:
     """The subgroup generated by the simple reflections of the given nodes,
     by breadth-first closure from the identity."""
-    gens = Marking.of(generators).validate_on(rs.diagram)
+    gens = Marking(generators).validate_on(rs.diagram)
     limit = resolve_weyl_limit(weyl_limit)
     est = weyl_order_estimate(rs.diagram, gens)
     if est > limit:
@@ -285,7 +292,7 @@ def min_coset_length(w: WeylElement, generators, rs: RootSystem | None = None) -
     """Length of the minimal-length representative of the coset w * W_I,
     counted as the inversions of w outside the W_I root subsystem."""
     rs = rs or w.rs
-    gens = Marking.of(generators).validate_on(rs.diagram)
+    gens = Marking(generators).validate_on(rs.diagram)
     outside = outside_levi_indices(rs, tuple(gens))
     if not len(outside):
         return 0
