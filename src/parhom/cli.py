@@ -17,8 +17,8 @@ from itertools import chain, combinations
 from .connectivity import ConsistencyError
 from .dynkin import (DiagramError, DynkinDiagram, Marking, RankLimitError,
                      parse_diagram_spec)
-from .report import (build_report, render_json, render_text, render_tsv_row,
-                     tsv_header)
+from .report import (PsiPContext, build_report, render_json, render_text,
+                     render_tsv_row, tsv_header)
 from .rootweyl import GuardLimitError, resolve_weyl_limit
 
 EXIT_OK = 0
@@ -83,9 +83,10 @@ def cmd_analyze(args, out=None) -> int:
     return EXIT_OK
 
 
-def _all_markings(d: DynkinDiagram) -> list[tuple[int, ...]]:
+def _all_markings(d: DynkinDiagram) -> list[Marking]:
     nodes = range(1, d.n + 1)
-    return sorted(chain.from_iterable(combinations(nodes, k) for k in range(d.n + 1)))
+    return sorted(map(Marking, chain.from_iterable(combinations(nodes, k)
+                                                   for k in range(d.n + 1))))
 
 
 def cmd_enumerate(args, out=None) -> int:
@@ -101,11 +102,13 @@ def cmd_enumerate(args, out=None) -> int:
     for p in subsets:
         if not p:
             continue
+        context = PsiPContext(d, p)  # shared by the rows of this psi_p only
         for q in subsets:
             if args.nontrivial_only and (set(p) <= set(q) or not q):
                 continue
             report = build_report(d, p, q, with_chains=args.with_chains, max_k=args.max_k,
-                                  weyl_limit=limit, with_sizes=args.format == "json")
+                                  weyl_limit=limit, with_sizes=args.format == "json",
+                                  context=context)
             print(render_json(report, compact=True) if args.format == "json"
                   else render_tsv_row(report), file=out)
     return EXIT_OK

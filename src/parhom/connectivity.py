@@ -18,9 +18,8 @@ from enum import Enum
 import numpy as np
 
 from .dynkin import DynkinDiagram, Marking, diagram_involution_table, tree_path
-from .geometry import ParabolicPair, dim_flag, levi_split
-from .rootweyl import (GuardLimitError, generate_roots, reflection_closure,
-                       resolve_weyl_limit, weyl_order)
+from .geometry import ParabolicPair, dim_flag_on, levi_split
+from .rootweyl import GuardLimitError, reflection_closure, resolve_weyl_limit, weyl_order
 
 
 class ConsistencyError(RuntimeError):
@@ -34,7 +33,7 @@ def is_separating(pair: ParabolicPair, chi) -> bool:
     nodes lie in one component of D minus chi iff their path avoids chi."""
     p, q = set(pair.psi_p), set(pair.psi_q)
     return not any(not p.isdisjoint(comp) and not q.isdisjoint(comp)
-                   for comp in levi_split(pair.diagram, Marking(chi)))
+                   for comp in levi_split(pair.roots, Marking(chi)))
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
     limit = resolve_weyl_limit(weyl_limit)
     if orbit_size > limit:
         raise GuardLimitError(orbit_size, limit, "orbit size |W/W_P|")
-    rs = generate_roots(d)
+    rs = pair.roots
     # the Levi generators as columns: the unmarked nodes
     p_gens, q_gens = ([i for i in range(d.n) if i + 1 not in psi]
                       for psi in (pair.psi_p, pair.psi_q))
@@ -148,7 +147,7 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
         if connected != is_cycle_connected(pair):
             raise ConsistencyError(
                 f"reachability disagrees with the marking criterion on {_where(pair)}")
-        saturated_dim = result.reachable_dims[-1] == dim_flag(d, pair.psi_p)
+        saturated_dim = result.reachable_dims[-1] == dim_flag_on(rs, pair.psi_p)
         if saturated_dim != connected:
             raise ConsistencyError(
                 f"top-cell dimension check disagrees with saturation on {_where(pair)}")
@@ -235,10 +234,15 @@ class ExceptionFlags:
     larger_automorphism_case: LargerAutomorphismCase | None
 
 
+_TABLE_FAMILIES = "BCFG"  # the families with entries in either table
+
+
 def _local_markings(d: DynkinDiagram, pair_p: Marking, pair_q: Marking):
-    """Per factor: (family, rank, local psi_p, local psi_q) with node ids
-    shifted to 1..rank."""
+    """Per factor of a family in `_TABLE_FAMILIES`: (family, rank, local
+    psi_p, local psi_q) with node ids shifted to 1..rank."""
     for f, (lo, hi) in zip(d.factors, d.factor_spans):
+        if f.family not in _TABLE_FAMILIES:
+            continue
         local_p = tuple(v - lo + 1 for v in pair_p if lo <= v <= hi)
         local_q = tuple(v - lo + 1 for v in pair_q if lo <= v <= hi)
         yield f.family, f.rank, local_p, local_q
@@ -269,11 +273,13 @@ def exception_flags(pair: ParabolicPair) -> ExceptionFlags:
     psi_q and the p next to a component that meets psi_q.
     """
     d = pair.diagram
+    if not any(f.family in _TABLE_FAMILIES for f in d.factors):  # no entry can match
+        return ExceptionFlags(mok_zhang_exception=False, larger_automorphism_case=None)
     mz = any(_mok_zhang_factor(fam, rank, p, q)
              for fam, rank, p, q in _local_markings(d, pair.psi_p, pair.psi_q))
 
     q_set = set(pair.psi_q)
-    near_q = {v for comp in levi_split(d, pair.psi_p) if not q_set.isdisjoint(comp)
+    near_q = {v for comp in levi_split(pair.roots, pair.psi_p) if not q_set.isdisjoint(comp)
               for v in comp}
     p_reduced = Marking(p for p in pair.psi_p
                         if p in q_set or not near_q.isdisjoint(d.adjacency[p]))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .dynkin import DynkinDiagram, Marking, induced_components, relabel_to_standard
-from .rootweyl import generate_roots
+from .rootweyl import RootSystem, generate_roots
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,21 @@ class ParabolicPair:
         object.__setattr__(self, "psi_p", Marking(self.psi_p).validate_on(self.diagram))
         object.__setattr__(self, "psi_q", Marking(self.psi_q).validate_on(self.diagram))
 
+    @classmethod
+    def of_valid(cls, roots: RootSystem, psi_p: Marking, psi_q: Marking) -> "ParabolicPair":
+        """The pair of two Markings already validated on `roots.diagram`,
+        made with no check; it carries `roots`."""
+        pair = object.__new__(cls)
+        pair.__dict__.update(diagram=roots.diagram, psi_p=psi_p, psi_q=psi_q, _roots=roots)
+        return pair
+
+    @property
+    def roots(self) -> RootSystem:
+        """The root system holding the memo tables: the one an `of_valid`
+        pair carries; for a constructed pair the diagram's current one, so
+        it follows `generate_roots.cache_clear()`."""
+        return self.__dict__.get("_roots") or generate_roots(self.diagram)
+
     @cached_property
     def union_marking(self) -> Marking:
         return self.psi_p.union(self.psi_q)
@@ -43,14 +58,15 @@ class ParabolicPair:
     def cycle_components(self) -> tuple[tuple[int, ...], ...]:
         """Components of D minus psi_q that meet psi_p: where the Q-cycle lives."""
         p = set(self.psi_p)
-        return tuple(comp for comp in levi_split(self.diagram, self.psi_q)
+        return tuple(comp for comp in levi_split(self.roots, self.psi_q)
                      if not p.isdisjoint(comp))
 
 
-def levi_split(d: DynkinDiagram, psi: Marking) -> tuple[tuple[int, ...], ...]:
+def levi_split(rs: RootSystem, psi: Marking) -> tuple[tuple[int, ...], ...]:
     """Components of D minus the marking, as `induced_components` lists
-    them; memoised per marking on the diagram's root system."""
-    table = generate_roots(d).levi_splits
+    them; memoised per marking on the diagram's root system `rs`."""
+    d = rs.diagram
+    table = rs.levi_splits
     split = table.get(psi)
     if split is None:
         psi.validate_on(d)
@@ -63,11 +79,16 @@ def dim_flag(d: DynkinDiagram, psi) -> int:
     """Complex dimension of the flag space for a marking: the number of
     positive roots whose support meets the marked nodes.  Memoised per
     marking on the diagram's root system."""
-    psi = Marking(psi)
-    rs = generate_roots(d)
+    return dim_flag_on(generate_roots(d), Marking(psi))
+
+
+def dim_flag_on(rs: RootSystem, psi: Marking) -> int:
+    """The body of `dim_flag`, for a root system already in hand.  The
+    per-pair path calls it, so `bench/tracer.py`'s `geometry.dim_flag`
+    span no longer counts the per-row dimensions."""
     dim = rs.flag_dims.get(psi)
     if dim is None:
-        mask = sum(1 << (v - 1) for v in psi.validate_on(d))
+        mask = sum(1 << (v - 1) for v in psi.validate_on(rs.diagram))
         dim = rs.flag_dims[psi] = sum(1 for s in rs.support_masks if s & mask)
     return dim
 
@@ -100,14 +121,14 @@ class CycleDescriptor:
 def cycle_descriptor(pair: ParabolicPair) -> CycleDescriptor:
     """The Q-cycle; its relabelled type and marking are memoised on
     (cycle nodes, surviving marks), with no reference to the mapping."""
-    d = pair.diagram
-    dim = dim_flag(d, pair.union_marking) - dim_flag(d, pair.psi_q)
+    rs = pair.roots
+    dim = dim_flag_on(rs, pair.union_marking) - dim_flag_on(rs, pair.psi_q)
     surviving = pair.psi_p.minus(pair.psi_q)
     nodes = sum(pair.cycle_components, ())
-    table = generate_roots(d).cycles
+    table = rs.cycles
     cycle = table.get((nodes, surviving))
     if cycle is None:
-        sub, mapping = relabel_to_standard(d, nodes, marking=surviving)
+        sub, mapping = relabel_to_standard(pair.diagram, nodes, marking=surviving)
         # keep the cycle's root system's own diagram: one object per type
         cycle = table[nodes, surviving] = (
             (sub.type_string, Marking(mapping[v] for v in surviving), generate_roots(sub).diagram)

@@ -19,7 +19,8 @@ from .connectivity import (BoundaryClass, ChainAnalysis, ConsistencyError,
                            reduction)
 from .dynkin import DynkinDiagram, Marking
 from .geometry import (CycleDescriptor, ParabolicPair, TowerDims,
-                       cycle_descriptor, dim_flag)
+                       cycle_descriptor, dim_flag, dim_flag_on)
+from .rootweyl import generate_roots
 
 SCHEMA_VERSION = "parhom/1"
 
@@ -29,6 +30,28 @@ TSV_COLUMNS = ("type", "psi_p", "psi_q", "dim_GP", "cycle_dim", "reduced",
 _TOWER_NOTE = "per-level dimension formula is derived, not tabulated"
 _LINEARITY_NOTE = ("cycle linearity not computed; the tangency exception "
                    "table assumes its linearity hypothesis")
+
+
+class PsiPContext:
+    """What the reports of one psi_p share: the root system, the validated
+    psi_p, dim G/P and its boundary class, and per red psi_q the reduced
+    pair (psi_p, red psi_q) with its reduction and cycle dimension, which
+    `verify_report` checks and which depend on that key alone."""
+
+    def __init__(self, diagram: DynkinDiagram, psi_p):
+        self.roots = generate_roots(diagram)
+        self.psi_p = Marking(psi_p).validate_on(diagram)
+        self.dim_gp = dim_flag(diagram, self.psi_p)
+        self.boundary = boundary_codim_class(diagram, self.psi_p)
+        self.reduced: dict[Marking, tuple[ParabolicPair, Marking, int]] = {}
+
+    def reduced_pair(self, red: Marking) -> tuple[ParabolicPair, Marking, int]:
+        entry = self.reduced.get(red)
+        if entry is None:
+            pair = ParabolicPair.of_valid(self.roots, self.psi_p, red)
+            entry = self.reduced[red] = (
+                pair, reduction(pair).reduced_marking, cycle_descriptor(pair).dim)
+        return entry
 
 
 @dataclass
@@ -45,32 +68,40 @@ class AnalysisReport:
     criterion_connected: bool
     boundary: BoundaryClass
     flags: ExceptionFlags
+    context: PsiPContext
     chains: ChainAnalysis | None = None
     warnings: list[str] = field(default_factory=list)
 
 
 def build_report(diagram: DynkinDiagram, psi_p, psi_q, with_chains: bool = False,
-                 max_k: int = 32, weyl_limit=None, with_sizes: bool = True) -> AnalysisReport:
-    pair = ParabolicPair(diagram, psi_p, psi_q)
-    d = pair.diagram
+                 max_k: int = 32, weyl_limit=None, with_sizes: bool = True,
+                 context: PsiPContext | None = None) -> AnalysisReport:
+    """The checked report on (psi_p, psi_q); `context` is the PsiPContext
+    of (diagram, psi_p), made here when not given."""
+    ctx = context or PsiPContext(diagram, psi_p)
+    if (ctx.roots.diagram, ctx.psi_p) != (diagram, Marking(psi_p)):
+        raise ValueError("the context was made for another diagram or psi_p")
+    rs = ctx.roots
+    pair = ParabolicPair.of_valid(rs, ctx.psi_p, Marking(psi_q).validate_on(rs.diagram))
     red = reduction(pair)
+    cycle = cycle_descriptor(pair)
+    if red.is_already_reduced:  # the pair is its own reduced pair
+        ctx.reduced.setdefault(pair.psi_q, (pair, red.reduced_marking, cycle.dim))
     # the Q-cycle, and so the scan, depends only on red psi_q, which keeps
     # psi_p & psi_q; a sweep then scans each (psi_p, red psi_q) once
-    chains = (chain_analysis(ParabolicPair(d, pair.psi_p, red.reduced_marking), max_k=max_k,
+    chains = (chain_analysis(ctx.reduced_pair(red.reduced_marking)[0], max_k=max_k,
                              weyl_limit=weyl_limit, with_sizes=with_sizes)
               if with_chains else None)
     warnings = [_LINEARITY_NOTE]
     warnings.extend(exception_notes(pair))
     if chains is not None and not chains.complete:
         warnings.append(f"chain analysis truncated at max_k={max_k} before stabilization")
-    dim_gp = dim_flag(d, pair.psi_p)
-    dim_gpq = dim_flag(d, pair.union_marking)
-    dual_dim = dim_gpq - dim_gp
-    cycle = cycle_descriptor(pair)
+    dim_gpq = dim_flag_on(rs, pair.union_marking)
+    dual_dim = dim_gpq - ctx.dim_gp
     report = AnalysisReport(
         pair=pair,
-        dim_gp=dim_gp,
-        dim_gq=dim_flag(d, pair.psi_q),
+        dim_gp=ctx.dim_gp,
+        dim_gq=dim_flag_on(rs, pair.psi_q),
         dim_gpq=dim_gpq,
         cycle=cycle,
         dual_dim=dual_dim,
@@ -78,8 +109,9 @@ def build_report(diagram: DynkinDiagram, psi_p, psi_q, with_chains: bool = False
         red=red,
         quotient=connectivity_quotient(pair),
         criterion_connected=is_cycle_connected(pair),
-        boundary=boundary_codim_class(d, pair.psi_p),
+        boundary=ctx.boundary,
         flags=exception_flags(pair),
+        context=ctx,
         chains=chains,
         warnings=warnings,
     )
@@ -88,7 +120,8 @@ def build_report(diagram: DynkinDiagram, psi_p, psi_q, with_chains: bool = False
 
 
 def verify_report(r: AnalysisReport) -> None:
-    """Cross-field consistency checks; raises ConsistencyError on failure."""
+    """Cross-field consistency checks; raises ConsistencyError on failure.
+    The two checks on the reduced pair read it off `r.context`."""
     pair = r.pair
     d = pair.diagram
 
@@ -110,9 +143,9 @@ def verify_report(r: AnalysisReport) -> None:
     red = r.red.reduced_marking
     expect(red.issubset(pair.psi_q), "reduction containment")
     expect(is_separating(pair, red), "reduction separates")
-    reduced_pair = ParabolicPair(d, pair.psi_p, red)
-    expect(reduction(reduced_pair).reduced_marking == red, "reduction idempotence")
-    expect(cycle_descriptor(reduced_pair).dim == r.cycle.dim, "moduli dim consistency")
+    _, red_again, red_dim = r.context.reduced_pair(red)
+    expect(red_again == red, "reduction idempotence")
+    expect(red_dim == r.cycle.dim, "moduli dim consistency")
 
     expect(r.quotient == pair.intersection_marking, "quotient marking")
     expect(r.criterion_connected == (not pair.intersection_marking), "connectivity criterion")

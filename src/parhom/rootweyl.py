@@ -101,12 +101,13 @@ class RootSystem:
         self.flag_dims, self.levi_splits, self.cycles, self.weyl_orders = {}, {}, {}, {}
 
     def weight_orbit(self, marking) -> "WeightOrbit":
-        """The orbit of lambda_P for this marking.  The last one built is
-        kept, so a sweep over psi_q for one psi_p builds it once."""
+        """The orbit of lambda_P for this marking, validated on the diagram.
+        The last one built is kept, so a sweep over psi_q for one psi_p
+        builds it once."""
         marking = Marking(marking)
         if self._orbit is None or self._orbit.marking != marking:
             self._orbit = None  # release the old orbit before building
-            self._orbit = WeightOrbit(self, marking)
+            self._orbit = WeightOrbit(self, marking.validate_on(self.diagram))
         return self._orbit
 
     def __repr__(self):

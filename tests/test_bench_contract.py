@@ -12,6 +12,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import parhom.cli
+from parhom import Marking, ParabolicPair
 from parhom.rootweyl import WeightOrbit, generate_roots
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -96,3 +97,47 @@ def test_tsv_chain_sweep_builds_no_orbit(monkeypatch):
     with redirect_stdout(out):
         assert parhom.cli.main(command.split()) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CHAIN_DIGESTS[command]
+
+
+# `generate_roots` lookups of `enumerate --type E6` when each per-pair
+# function looked the root system up itself: 56,206 for 4,032 rows
+LOOKUPS_BEFORE_CONTEXT = 56_206
+
+
+def test_sweep_call_budget(monkeypatch):
+    """Exact call counts of one sweep, so a guard, not a speed claim: the
+    reduction runs once per row and once per distinct (psi_p, red psi_q),
+    the root system is looked up a quarter as often as before, and each row
+    validates one marking, its psi_q."""
+    argv = ["enumerate", "--type", "E6"]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert parhom.cli.main(argv + ["--format", "json"]) == 0
+    rows = [json.loads(line) for line in out.getvalue().splitlines()]
+    reduced = {(tuple(row["input"]["psi_p"]), tuple(row["reduction"]["reduced"]))
+               for row in rows}
+    assert len(rows) == 4032 and len(reduced) == 2050
+
+    counts = {"pairs": 0, "markings": 0}
+    validate_pair, validate_marking = ParabolicPair.__post_init__, Marking.validate_on
+
+    def count_pair(self):
+        counts["pairs"] += 1
+        validate_pair(self)
+
+    def count_marking(self, d):
+        counts["markings"] += 1
+        return validate_marking(self, d)
+
+    monkeypatch.setattr(ParabolicPair, "__post_init__", count_pair)
+    monkeypatch.setattr(Marking, "validate_on", count_marking)
+    generate_roots.cache_clear()
+    calls = traced_calls(argv)
+    assert calls["connectivity.reduction"] <= len(rows) + len(reduced)
+    assert calls["rootweyl.generate_roots"] <= LOOKUPS_BEFORE_CONTEXT / 4
+    # the sweep makes every pair of validated markings, with no check
+    assert counts["pairs"] == 0
+    # besides each row's psi_q: per marking its context and boundary class
+    # as psi_p and its first `flag_dims` and `levi_splits` entries; per
+    # relabelled cycle its node set and its marking's flag dimension
+    assert counts["markings"] <= len(rows) + 4 * 2 ** 6 + 2 * calls["dynkin.relabel_to_standard"]

@@ -1,5 +1,6 @@
 """Report assembly, JSON schema, TSV rows, CLI behavior and exit codes."""
 
+import dataclasses
 import json
 from itertools import chain, combinations
 
@@ -9,7 +10,7 @@ from parhom import (ConsistencyError, Marking, RootSystem, build_report,
                     parse_diagram_spec, render_json, render_tsv_row,
                     report_to_dict, tsv_header, verify_report)
 from parhom.cli import main
-from parhom.report import TSV_COLUMNS
+from parhom.report import TSV_COLUMNS, PsiPContext
 
 
 def report_for(spec, p, q, **kw):
@@ -141,6 +142,73 @@ class TestJsonRoundTrip:
         assert len(lines) == (2 ** n - 1) * 2 ** n
         for line in lines:
             assert rendered_again(line, compact=True) == line
+
+
+def all_markings(n):
+    """Every marking on nodes 1..n, in `enumerate` order."""
+    return sorted(Marking(m) for m in chain.from_iterable(
+        combinations(range(1, n + 1), k) for k in range(n + 1)))
+
+
+class TestPsiPContext:
+    """A sweep builds its rows from one PsiPContext per psi_p; each row must
+    be the report a fresh single-pair call builds, and every check must
+    still run on rows whose reduced-pair values the context served."""
+
+    @pytest.mark.parametrize("chains", [False, True])
+    @pytest.mark.parametrize("spec", ["G2", "B4", "D5", "A3xB3"])
+    def test_sweep_rows_equal_single_pair_reports(self, capsys, spec, chains):
+        d = parse_diagram_spec(spec)
+        pairs = [(p, q) for p in all_markings(d.n)[1:] for q in all_markings(d.n)]
+        argv = ["enumerate", "--type", spec] + ["--with-chains"] * chains
+        assert main(argv + ["--format", "json"]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert main(argv) == 0
+        tsv = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == len(tsv) == len(pairs)
+        for (p, q), row, line in zip(pairs, rows, tsv):
+            assert row == report_to_dict(build_report(d, p, q, with_chains=chains)), (p, q)
+            single = build_report(d, p, q, with_chains=chains, with_sizes=False)
+            assert line == render_tsv_row(single), (p, q)
+
+    def sweep(self, spec, p):
+        """The reports of one psi_p, built from one context as `enumerate`
+        builds them, and the rows whose reduced pair is another pair."""
+        d = parse_diagram_spec(spec)
+        context = PsiPContext(d, p)
+        reports = [build_report(d, context.psi_p, q, context=context)
+                   for q in all_markings(d.n)]
+        return context, [r for r in reports if not r.red.is_already_reduced]
+
+    @pytest.mark.parametrize("corrupt,check", [
+        ("stored marking", "reduction idempotence"),
+        ("stored dim", "moduli dim consistency"),
+        ("cycle dim", "cycle dimension formula"),
+    ])
+    def test_served_rows_still_fail_their_checks(self, corrupt, check):
+        context, served = self.sweep("D5", [2, 4])
+        assert len(served) > 1
+        for r in served:
+            red = r.red.reduced_marking
+            assert red in context.reduced  # verify_report reads it from the context
+            verify_report(r)
+            pair, marking, dim = entry = context.reduced[red]
+            if corrupt == "stored marking":
+                context.reduced[red] = (pair, Marking(set(marking) ^ {1}), dim)
+            elif corrupt == "stored dim":
+                context.reduced[red] = (pair, marking, dim + 1)
+            else:
+                r.cycle = dataclasses.replace(r.cycle, dim=r.cycle.dim + 1)
+            with pytest.raises(ConsistencyError, match=check):
+                verify_report(r)
+            context.reduced[red] = entry
+
+    def test_context_of_another_psi_p_is_refused(self):
+        d = parse_diagram_spec("A3")
+        with pytest.raises(ValueError, match="another diagram or psi_p"):
+            build_report(d, [1], [2], context=PsiPContext(d, [2]))
+        with pytest.raises(ValueError, match="another diagram or psi_p"):
+            build_report(parse_diagram_spec("B3"), [1], [2], context=PsiPContext(d, [1]))
 
 
 class TestCliAnalyze:

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from parhom import (GuardLimitError, Marking, generate_roots,
+from parhom import (DiagramError, GuardLimitError, Marking, generate_roots,
                     induced_components, diagram_involution_table,
                     parse_diagram_spec, tree_path, weyl_order)
 from parhom.rootweyl import reflection_closure
@@ -311,6 +311,15 @@ class TestWeightOrbit:
         second = rs.weight_orbit([2])
         assert second is not first
         assert rs.weight_orbit([1]) is not first
+
+    @pytest.mark.parametrize("marking", [[0], [9], [1, 4]])
+    def test_bad_nodes_raise_before_the_orbit_is_built(self, marking):
+        # unchecked, node 0 would wrap to the last label and node 9 leave the row
+        rs = rs_for("A3")
+        rs.weight_orbit([3])
+        with pytest.raises(DiagramError, match="out of range"):
+            rs.weight_orbit(marking)
+        assert rs.weight_orbit([3]).marking == (3,)
 
 
 def neighbour_bfs(orbit, gens, seeds):
