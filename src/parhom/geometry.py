@@ -12,10 +12,24 @@ marking the Borel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .dynkin import DynkinDiagram, Marking, induced_components, relabel_to_standard
 from .rootweyl import RootSystem, generate_roots
+
+
+class _memo:
+    """`functools.cached_property` without the lock Python 3.11 takes on each
+    first read: the value goes into the instance dict, where later reads
+    find it before this descriptor."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -46,15 +60,15 @@ class ParabolicPair:
         it follows `generate_roots.cache_clear()`."""
         return self.__dict__.get("_roots") or generate_roots(self.diagram)
 
-    @cached_property
+    @_memo
     def union_marking(self) -> Marking:
         return self.psi_p.union(self.psi_q)
 
-    @cached_property
+    @_memo
     def intersection_marking(self) -> Marking:
         return self.psi_p.intersect(self.psi_q)
 
-    @cached_property
+    @_memo
     def cycle_components(self) -> tuple[tuple[int, ...], ...]:
         """Components of D minus psi_q that meet psi_p: where the Q-cycle lives."""
         p = set(self.psi_p)

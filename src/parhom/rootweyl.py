@@ -2,12 +2,11 @@
 
 Positive roots are integer coordinate vectors in the simple-root basis,
 graded by height, then lexicographic.  Weyl-group orders are read off
-their heights (`weyl_order`), with no classification of the diagram.  The
-library models W/W_P as the orbit of the dominant weight lambda_P = sum of
-the fundamental weights of a marking: Dynkin-label vectors with a table of
-simple-reflection neighbours, on which the chain scan counts its sizes
-with `reflection_closure` (`scans` keeps them).  The permutation model of W
-and the closed-form order table are test oracles (`tests/weyl_oracle.py`).
+their heights (`weyl_order`), with no classification of the diagram.  W/W_P
+is the orbit of lambda_P = sum of the fundamental weights of a marking:
+label vectors deduplicated per level on packed keys, and a neighbour table
+filled in place, where the chain scan counts sizes (`reflection_closure`).
+Oracles: the permutation model of W and the lexsort build (`tests/weyl_oracle.py`).
 
 Orbits run behind a guard limit (default 10**6 points, env
 PARHOM_WEYL_LIMIT) so desk-scale runs stay desk-scale.
@@ -16,7 +15,7 @@ PARHOM_WEYL_LIMIT) so desk-scale runs stay desk-scale.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 import numpy as np
@@ -100,6 +99,13 @@ class RootSystem:
         # memo tables of `dim_flag`, `levi_split`, `cycle_descriptor`, `weyl_order`
         self.flag_dims, self.levi_splits, self.cycles, self.weyl_orders = {}, {}, {}, {}
 
+    @cached_property
+    def positive_coroots(self) -> np.ndarray:
+        """The positive roots of the transposed Cartan matrix, one per row."""
+        dual = self.cartan.T
+        return np.array(self.positive_roots if (dual == self.cartan).all()
+                        else _positive_root_closure(dual.tolist(), self.diagram.n))
+
     def weight_orbit(self, marking) -> "WeightOrbit":
         """The orbit of lambda_P for this marking, validated on the diagram.
         The last one built is kept, so a sweep over psi_q for one psi_p
@@ -114,18 +120,6 @@ class RootSystem:
         return f"RootSystem({self.diagram.type_string}, |pos|={self.num_positive})"
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(the distinct rows in lexicographic order, the index of each input
-    row among them)."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    index = np.empty(len(rows), dtype=np.intp)
-    index[order] = np.cumsum(first) - 1
-    return ordered[first], index
-
-
 class WeightOrbit:
     """The orbit W*lambda of lambda = sum of the fundamental weights of the
     marked nodes: one point per coset w*W_P, where W_P is generated by the
@@ -134,41 +128,67 @@ class WeightOrbit:
     A point is its Dynkin-label vector m, and the simple reflection s_i
     maps it to m_j - m_i*C[i][j].  Points are listed level by level from
     lambda, each level the images of the previous one under the s_i with
-    m_i > 0.  Such a move lengthens the minimal coset representative by
-    one, so a level holds the cosets of one length.  `neighbours[x, i]`
-    is the index of s_{i+1}*x: x itself when m_{i+1} = 0, otherwise the
-    other end of an upward move.
+    m_i > 0, in lexicographic order of m.  Such a move lengthens the
+    minimal coset representative by one, so a level holds the cosets of one
+    length.  `neighbours[x, i]` is the index of s_{i+1}*x: x itself when
+    m_{i+1} = 0, otherwise the other end of an upward move.
+
+    A level is deduplicated on exact keys: the digits m_j + M of radix 2M+1,
+    column 0 first, in as many int64 words as n digits need, where M, the
+    largest <lambda, beta^v> over positive coroots, bounds every |m_j|.  The
+    |W|/|W_P| table rows are filled in place; `len` counts the points found.
     """
 
     def __init__(self, rs: RootSystem, marking: Marking):
         n = rs.diagram.n
-        # |m_j| <= <lambda, highest coroot>, at most 6 per marked node, so
-        # int16 holds the labels of any orbit that fits in memory
+        cols = [v - 1 for v in marking]
+        # M <= the highest root's height, < 80 at rank <= 40: int16 holds labels
+        bound = int(rs.positive_coroots[:, cols].sum(axis=1).max())
         level = np.zeros((1, n), dtype=np.int16)
-        level[0, [v - 1 for v in marking]] = 1
-        # one block of neighbour rows per level, every point its own
-        # neighbour until a move says otherwise
-        blocks = [np.zeros((1, n), dtype=np.intp)]
-        start = 0
+        level[0, cols] = 1
+        radix = 2 * bound + 1
+        width = next(w for w in range(n, 0, -1) if radix ** w <= 1 << 63)
+        place = np.zeros((-(-n // width), n), dtype=np.int64)  # one row per word
+        for j in range(n):
+            place[j // width, j] = radix ** (width - 1 - j % width)
+        # s_i moves a key by -m_i * column i; int64 wraps, but every key fits
+        steps = place @ rs.cartan.T.astype(np.int64)
+        keys = place @ (level[0] + bound).astype(np.int64)[:, None]  # column x: key(x)
+        size = weyl_order(rs.diagram) // weyl_order(rs.diagram, marking)
+        table = np.empty((size, n), dtype=np.intp)
+        flat = table.reshape(-1)
+        table[0] = 0
+        start, count = 0, 1  # the first row of the last level; the points found
         while True:
-            src, gen = np.nonzero(level > 0)
-            if not len(src):
+            up = np.flatnonzero(level > 0)  # the moves x*n + i with m_i > 0
+            if not len(up):
                 break
-            images = level[src] - level[src, gen][:, None] * rs.cartan[gen]
-            level, dst = _distinct_rows(images)
-            nxt = start + len(blocks[-1])
-            blocks[-1][src, gen] = dst + nxt
-            ids = np.arange(nxt, nxt + len(level), dtype=np.intp)
-            block = np.repeat(ids[:, None], n, axis=1)
-            block[dst, gen] = src + start
-            blocks.append(block)
-            start = nxt
+            src, gen = np.divmod(up, n)
+            mi = level.reshape(-1).take(up)
+            images = keys.take(src, 1) - mi * steps.take(gen, 1)
+            order = np.argsort(images[0]) if len(images) == 1 else np.lexsort(images[::-1])
+            images, src, gen, mi = images.take(order, 1), src[order], gen[order], mi[order]
+            first = np.ones(len(order), dtype=bool)
+            first[1:] = (images[:, 1:] != images[:, :-1]).any(axis=0)
+            dst = np.cumsum(first) + (count - 1)
+            rep = np.flatnonzero(first)  # one move onto each new point
+            if count + len(rep) > size:  # stop before writing past the table
+                count += len(rep)
+                break
+            keys = images.take(rep, 1)
+            level = level.take(src[rep], 0) - mi[rep][:, None] * rs.cartan.take(gen[rep], 0)
+            table[count:count + len(rep)] = np.arange(count, count + len(rep))[:, None]
+            src += start
+            flat[src * n + gen] = dst
+            flat[dst * n + gen] = src
+            start, count = count, count + len(rep)
         self.marking = marking
         self.scans = {}  # (psi_q, max_k) -> one scan (`connectivity._scan`)
-        self.neighbours = np.concatenate(blocks)
+        self.points = count
+        self.neighbours = table[:count]
 
     def __len__(self):
-        return len(self.neighbours)
+        return self.points
 
 
 @lru_cache(maxsize=None)

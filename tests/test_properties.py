@@ -8,6 +8,7 @@ import random
 from datetime import timedelta
 from itertools import chain, combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +16,11 @@ from hypothesis import strategies as st
 import reduction_oracle as oracle
 from demazure_oracle import demazure_chain_scan
 from parhom import (Marking, ParabolicPair, chain_analysis, cycle_descriptor,
-                    is_separating, parse_diagram_spec, reduction)
+                    generate_roots, is_separating, parse_diagram_spec, reduction,
+                    weyl_order)
 from reduction_oracle import brute_force_reduction
 from test_connectivity import permutation_chain_scan, scan_fields
-from weyl_oracle import classical_weyl_order
+from weyl_oracle import classical_weyl_order, lexsort_orbit_neighbours
 
 # every factor of rank <= 8, in the ranks the parser accepts
 FACTORS = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
@@ -157,3 +159,23 @@ def test_chain_scan_depends_only_on_the_reduction_on_every_pair(spec):
 def test_chain_scan_depends_only_on_the_reduction(case):
     pair, _ = case
     assert chain_summary(pair) == chain_summary(with_reduced_q(pair))
+
+
+@st.composite
+def small_orbits(draw, max_points=10_000):
+    """A diagram of rank <= 8 and a marking with |W/W_P| <= max_points: the
+    drawn marking less as many of its largest nodes as that takes."""
+    d = draw(diagrams())
+    marking = sorted(draw(st.sets(st.integers(1, d.n))))
+    while weyl_order(d) // weyl_order(d, marking) > max_points:
+        marking.pop()
+    return d, Marking(marking)
+
+
+@PROPERTY_SETTINGS
+@given(small_orbits())
+def test_orbit_table_equals_the_lexsort_build(case):
+    d, marking = case
+    rs = generate_roots(d)
+    assert np.array_equal(rs.weight_orbit(marking).neighbours,
+                          lexsort_orbit_neighbours(rs, marking))

@@ -1,14 +1,16 @@
 """Report assembly, JSON schema, TSV rows, CLI behavior and exit codes."""
 
 import dataclasses
+import hashlib
 import json
+import re
 from itertools import chain, combinations
 
 import pytest
 
 from parhom import (ConsistencyError, Marking, RootSystem, build_report,
-                    parse_diagram_spec, render_json, render_tsv_row,
-                    report_to_dict, tsv_header, verify_report)
+                    generate_roots, parse_diagram_spec, render_json,
+                    render_tsv_row, report_to_dict, tsv_header, verify_report)
 from parhom.cli import main
 from parhom.report import TSV_COLUMNS, PsiPContext
 
@@ -256,6 +258,27 @@ class TestCliAnalyze:
         monkeypatch.setattr("parhom.cli.build_report", broken)
         assert main(["analyze", "--type", "A2", "--p", "1", "--q", "2"]) == 4
         assert "consistency" in capsys.readouterr().err
+
+    def test_short_orbit_exit4(self, capsys, monkeypatch):
+        # with the label bound M too low, the keys of distinct label rows
+        # alias and the orbit comes out short: the preallocated table must
+        # not hide that from the size check
+        rs = generate_roots(parse_diagram_spec("E6"))
+        monkeypatch.setattr(rs, "positive_coroots", rs.positive_coroots // 2)
+        monkeypatch.setattr(rs, "_orbit", None)
+        assert main(["analyze", "--type", "E6", "--p", "2,4", "--q", "1",
+                     "--chain-length", "--json"]) == 4
+        found = re.search(r"orbit has (\d+) points, not \|W/W_P\| = 1440",
+                          capsys.readouterr().err)
+        assert found and int(found[1]) < 1440
+
+    def test_multi_word_orbit_output_unchanged(self, capsys):
+        # 3**40 > 2**63, so the orbit keys of A40 psi_p = {1} take two words;
+        # the digest is the output of the column-lexsort build they replaced
+        assert main(["analyze", "--type", "A40", "--p", "1", "--q", "2",
+                     "--chain-length", "--json"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "d727585980daec86b3bc0a6a4b8d0539d1329477753af162b55830c001479c78")
 
     def test_empty_marking_spelled_dash(self, capsys):
         assert main(["analyze", "--type", "A1", "--p", "1", "--q", "-",

@@ -10,11 +10,13 @@ import pytest
 from parhom import (DiagramError, GuardLimitError, Marking, generate_roots,
                     induced_components, diagram_involution_table,
                     parse_diagram_spec, tree_path, weyl_order)
-from parhom.rootweyl import reflection_closure
+from parhom import rootweyl
+from parhom.rootweyl import WeightOrbit, reflection_closure
 from weyl_oracle import (WeylElement, WeylSubset, classical_weyl_order,
                          enumerate_weyl, involution_via_w0, levi_generators,
-                         longest_element, min_coset_length, perm_tables,
-                         product_set, weyl_order_estimate)
+                         lexsort_orbit_neighbours, longest_element,
+                         min_coset_length, perm_tables, product_set,
+                         weyl_order_estimate)
 
 POS_COUNT = {
     "A": lambda l: l * (l + 1) // 2,
@@ -320,6 +322,33 @@ class TestWeightOrbit:
         with pytest.raises(DiagramError, match="out of range"):
             rs.weight_orbit(marking)
         assert rs.weight_orbit([3]).marking == (3,)
+
+    @pytest.mark.parametrize("spec", ["E6", "F4", "D5", "B5", "A2xG2"])
+    def test_table_equals_the_lexsort_build_on_every_marking(self, spec):
+        rs = rs_for(spec)
+        for k in range(rs.diagram.n + 1):
+            for marking in combinations(range(1, rs.diagram.n + 1), k):
+                orbit = rs.weight_orbit(marking)
+                assert len(orbit) == len(orbit.neighbours), marking
+                assert np.array_equal(orbit.neighbours,
+                                      lexsort_orbit_neighbours(rs, marking)), marking
+
+    @pytest.mark.parametrize("spec", ["A40", "D40"])
+    def test_multi_word_keys_equal_the_lexsort_build(self, spec):
+        # M = 1 for psi = {1}, and 3**40 > 2**63: the keys take two words
+        rs = rs_for(spec)
+        assert rs.positive_coroots[:, 0].max() == 1 and 3 ** 40 > 1 << 63
+        orbit = rs.weight_orbit([1])
+        assert orbit.neighbours.dtype == np.intp
+        assert np.array_equal(orbit.neighbours, lexsort_orbit_neighbours(rs, [1]))
+
+    def test_build_stops_at_the_end_of_the_table(self, monkeypatch):
+        # a table sized 20 for the 27 points of E6 psi = {1}: the build writes
+        # no row past it, and its count does not match the rows
+        monkeypatch.setattr(rootweyl, "weyl_order", lambda d, psi=(): 1 if psi else 20)
+        orbit = WeightOrbit(rs_for("E6"), Marking([1]))
+        assert orbit.neighbours.shape == (20, 6)
+        assert len(orbit) > 20
 
 
 def neighbour_bfs(orbit, gens, seeds):

@@ -335,3 +335,43 @@ def product_set(a: WeylSubset, b: WeylSubset, weyl_limit=None) -> WeylSubset:
         return WeylSubset(rs, a.rows[:0])
     rows = np.concatenate(blocks)
     return WeylSubset(rs, rows[t.canonical_order(rows)])
+
+
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct rows in lexicographic order, the index of each input
+    row among them)."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    index = np.empty(len(rows), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return ordered[first], index
+
+
+def lexsort_orbit_neighbours(rs: RootSystem, marking) -> np.ndarray:
+    """The neighbour table of `parhom.rootweyl.WeightOrbit`, built as the
+    library built it before packed keys: each level's label rows
+    deduplicated by a lexsort over their columns, one block of rows per
+    level, concatenated at the end."""
+    n = rs.diagram.n
+    level = np.zeros((1, n), dtype=np.int64)
+    level[0, [v - 1 for v in Marking(marking).validate_on(rs.diagram)]] = 1
+    cartan = rs.cartan.astype(np.int64)
+    # every point its own neighbour until a move says otherwise
+    blocks = [np.zeros((1, n), dtype=np.intp)]
+    start = 0
+    while True:
+        src, gen = np.nonzero(level > 0)
+        if not len(src):
+            break
+        images = level[src] - level[src, gen][:, None] * cartan[gen]
+        level, dst = _distinct_rows(images)
+        nxt = start + len(blocks[-1])
+        blocks[-1][src, gen] = dst + nxt
+        ids = np.arange(nxt, nxt + len(level), dtype=np.intp)
+        block = np.repeat(ids[:, None], n, axis=1)
+        block[dst, gen] = src + start
+        blocks.append(block)
+        start = nxt
+    return np.concatenate(blocks)
