@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .dynkin import DynkinDiagram, Marking, diagram_involution_table, tree_path
 from .geometry import ParabolicPair, dim_flag_on, levi_split
 from .rootweyl import GuardLimitError, reflection_closure, resolve_weyl_limit, weyl_order
@@ -188,6 +186,7 @@ def _lengths(rs, p_gens: list[int], q_gens: list[int], max_k: int) -> list[int]:
 def _scan(orbit, p_gens: list[int], q_gens: list[int], stabilizer: int, levels: int) -> tuple:
     """(|S_0|, ..., |S_levels|): S_j, a union of cosets w*W_P, as a mask over
     the orbit points, so |S_j| = popcount * |W_P|."""
+    import numpy as np
     nb, p_cols, q_cols = orbit.neighbours, np.array(p_gens, np.intp), np.array(q_gens, np.intp)
     # S_0 = W_P is the single point lambda_P, fixed by every P move
     mask = np.zeros(len(orbit), dtype=bool)

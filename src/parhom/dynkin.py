@@ -20,7 +20,7 @@ class DiagramError(ValueError):
 
 
 # Largest total rank of a diagram string: positive roots are built in pure
-# Python in about cubic time, and `analyze` takes about 0.6 s on B40 or D40.
+# Python in about cubic time, and `analyze` takes about 0.2 s on B40 or D40.
 MAX_RANK = 40
 
 
@@ -189,7 +189,7 @@ class Marking(tuple):
             if not m:
                 raise DiagramError(f"bad marking token {tok!r} (expected integer)")
             if len(m.group(1)) > len(str(MAX_RANK)):
-                raise DiagramError(f"node of {len(tok)} digits out of range")
+                raise DiagramError(f"node of {len(m.group(1))} digits out of range")
             vals.append(int(m.group(1)))
         if any(vals[i] >= vals[i + 1] for i in range(len(vals) - 1)):
             raise DiagramError(f"marking must list ascending node ids: {text!r}")
@@ -339,10 +339,11 @@ def _bonds(edges) -> dict[tuple[int, int], tuple[int, int]]:
     return out
 
 
-def _orderings(d: DynkinDiagram, comp: list[int]):
+@lru_cache(maxsize=None)
+def _orderings(d: DynkinDiagram, comp: tuple[int, ...]):
     """(SimpleFactor, orderings) for a connected induced subgraph: one
     ordering per isomorphism onto the factor's edge table, index i holding
-    the old node id relabeled i+1."""
+    the old node id relabeled i+1.  Cached per node set, so all tuples."""
     comp_set = set(comp)
     bonds = _bonds(e for e in d.edges if e.a in comp_set and e.b in comp_set)
     k = len(comp)
@@ -366,7 +367,7 @@ def _orderings(d: DynkinDiagram, comp: list[int]):
                              and bonds[m[old], w] == want[old, new])
             maps = grown
         if maps:
-            return factor, [[m[i] for i in range(1, k + 1)] for m in maps]
+            return factor, tuple(tuple(m[i] for i in range(1, k + 1)) for m in maps)
     raise DiagramError("induced subgraph is not of finite type")
 
 
@@ -386,10 +387,10 @@ def relabel_to_standard(d: DynkinDiagram, nodes, marking=()):
 
     def key(ordering):
         marks = tuple(sorted(pos + 1 for pos, v in enumerate(ordering) if v in mark_set))
-        return (marks, tuple(ordering))
+        return (marks, ordering)
 
     for comp in induced_components(d, node_list):
-        factor, orderings = _orderings(d, comp)
+        factor, orderings = _orderings(d, tuple(comp))
         best = min(orderings, key=key)
         for pos, old in enumerate(best):
             mapping[old] = off + pos + 1

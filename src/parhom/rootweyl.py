@@ -6,7 +6,10 @@ their heights (`weyl_order`), with no classification of the diagram.  W/W_P
 is the orbit of lambda_P = sum of the fundamental weights of a marking:
 label vectors deduplicated per level on packed keys, and a neighbour table
 filled in place, where the chain scan counts sizes (`reflection_closure`).
-Oracles: the permutation model of W and the lexsort build (`tests/weyl_oracle.py`).
+Oracles: the permutation model of W, the lexsort build and the dense root
+closure (`tests/weyl_oracle.py`).  numpy is imported in the orbit functions
+only, so it loads only when orbit sizes are counted (`analyze
+--chain-length`, `enumerate --with-chains --format json`).
 
 Orbits run behind a guard limit (default 10**6 points, env
 PARHOM_WEYL_LIMIT) so desk-scale runs stay desk-scale.
@@ -17,10 +20,12 @@ from __future__ import annotations
 import os
 from functools import cached_property, lru_cache
 from math import prod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dynkin import DynkinDiagram, Marking, cartan_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_WEYL_LIMIT = 10 ** 6
 LIMIT_ENV = "PARHOM_WEYL_LIMIT"
@@ -55,23 +60,19 @@ def resolve_weyl_limit(explicit=None) -> int:
     return value
 
 
-def _reflect(coords, i, cart, n):
-    pairing = sum(coords[j] * cart[j][i] for j in range(n))
-    out = list(coords)
-    out[i] -= pairing
-    return tuple(out)
-
-
 def _positive_root_closure(cart, n):
+    # per node i, the (j, C[j][i]) with C[j][i] != 0: i and its neighbours
+    cols = [[(j, row[i]) for j, row in enumerate(cart) if row[i]] for i in range(n)]
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     found = set(simples)
     frontier = list(simples)
     while frontier:
         new = []
         for c in frontier:
-            for i in range(n):
-                img = _reflect(c, i, cart, n)
-                if img not in found and all(x >= 0 for x in img):
+            for i, col in enumerate(cols):
+                # s_i moves coordinate i only, c >= 0; top == c[i]: s_i(c) == c
+                top = c[i] - sum(c[j] * a for j, a in col)
+                if 0 <= top != c[i] and (img := c[:i] + (top,) + c[i + 1:]) not in found:
                     found.add(img)
                     new.append(img)
         frontier = new
@@ -89,7 +90,7 @@ class RootSystem:
         pos = _positive_root_closure(cart, n)
         self.positive_roots = tuple(pos)
         self.num_positive = len(pos)
-        self.cartan = np.array(cart, dtype=np.int16)
+        self.cartan_rows = cart
         # per node i, the (j, C[i][j]) of its neighbours j
         self.moves = tuple(tuple((j, c) for j, c in enumerate(row) if c and j != i)
                            for i, row in enumerate(cart))
@@ -100,11 +101,18 @@ class RootSystem:
         self.flag_dims, self.levi_splits, self.cycles, self.weyl_orders = {}, {}, {}, {}
 
     @cached_property
+    def cartan(self) -> np.ndarray:
+        """`cartan_rows` as an int16 array, for the orbit build."""
+        import numpy as np
+        return np.array(self.cartan_rows, dtype=np.int16)
+
+    @cached_property
     def positive_coroots(self) -> np.ndarray:
         """The positive roots of the transposed Cartan matrix, one per row."""
-        dual = self.cartan.T
-        return np.array(self.positive_roots if (dual == self.cartan).all()
-                        else _positive_root_closure(dual.tolist(), self.diagram.n))
+        import numpy as np
+        dual = [list(col) for col in zip(*self.cartan_rows)]
+        return np.array(self.positive_roots if dual == self.cartan_rows
+                        else _positive_root_closure(dual, self.diagram.n))
 
     def weight_orbit(self, marking) -> "WeightOrbit":
         """The orbit of lambda_P for this marking, validated on the diagram.
@@ -140,6 +148,7 @@ class WeightOrbit:
     """
 
     def __init__(self, rs: RootSystem, marking: Marking):
+        import numpy as np
         n = rs.diagram.n
         cols = [v - 1 for v in marking]
         # M <= the highest root's height, < 80 at rank <= 40: int16 holds labels
@@ -224,6 +233,7 @@ def reflection_closure(mask: np.ndarray, neighbours: np.ndarray, gens: np.ndarra
     reflections in `gens` (neighbour columns); return the indices added.
     Points of the mask outside the seeds must already be closed under
     those reflections."""
+    import numpy as np
     added = [seeds[:0]]
     frontier = seeds
     while len(frontier):

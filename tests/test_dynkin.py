@@ -272,6 +272,12 @@ class TestMarking:
             Marking.parse("1," + "9" * 5000)
         assert Marking.parse("0041") == (41,)
 
+    @pytest.mark.parametrize("token, digits", [("0123", 3), ("123", 3), ("000999", 3),
+                                               ("0" * 9 + "12345", 5)])
+    def test_overlong_node_counts_digits_without_leading_zeros(self, token, digits):
+        with pytest.raises(DiagramError, match=f"^node of {digits} digits out of range$"):
+            Marking.parse(f"1,{token}")
+
     def test_validate_on(self):
         d = parse_diagram_spec("A3")
         with pytest.raises(DiagramError, match="node 9 out of range"):

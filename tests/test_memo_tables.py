@@ -12,6 +12,7 @@ import json
 import sys
 import weakref
 from contextlib import redirect_stdout
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from parhom import (DiagramError, GuardLimitError, Marking, ParabolicPair,
                     chain_analysis, cycle_descriptor, dim_flag, exception_flags,
                     generate_roots, is_separating, parse_diagram_spec, reduction,
                     relabel_to_standard, weyl_order)
+from parhom import dynkin
 from parhom.cli import main
 from test_geometry import diagrams_up_to_rank, subsets
 
@@ -193,6 +195,33 @@ def test_cache_clear_drops_the_tables():
     assert fresh is not old
     assert not fresh.flag_dims and not fresh.levi_splits and not fresh.cycles
     assert not fresh.weyl_orders
+
+
+# -- relabeling orderings, per connected node set -----------------------------
+
+@pytest.mark.parametrize("spec", ["D6", "E7"])
+def test_relabel_orderings_warm_equal_cold(spec):
+    d = parse_diagram_spec(spec)
+    cases = [(nodes, marks) for nodes in subsets(d.n)
+             for k in range(len(nodes) + 1) for marks in combinations(nodes, k)]
+    cold = {}
+    for nodes, marks in cases:
+        dynkin._orderings.cache_clear()
+        cold[nodes, marks] = relabel_to_standard(d, nodes, marks)
+    dynkin._orderings.cache_clear()
+    assert {case: relabel_to_standard(d, *case) for case in cases} == cold
+    info = dynkin._orderings.cache_info()
+    assert info.misses < 2 ** d.n < info.hits  # once per connected node set
+    assert {case: relabel_to_standard(d, *case) for case in cases} == cold
+
+
+def test_cached_orderings_are_immutable():
+    d = parse_diagram_spec("D5")
+    factor, orderings = dynkin._orderings(d, (1, 2, 3, 4, 5))
+    assert str(factor) == "D5" and len(orderings) == 2  # the fork swap
+    assert isinstance(orderings, tuple)
+    assert all(isinstance(o, tuple) for o in orderings)
+    assert dynkin._orderings(d, (1, 2, 3, 4, 5))[1] is orderings
 
 
 # -- Weyl-group orders, per marking -------------------------------------------

@@ -229,6 +229,10 @@ class TestCliAnalyze:
         assert main(["analyze", "--type", "A3", "--p", "2", "--q", "9"]) == 2
         assert "node 9 out of range" in capsys.readouterr().err
 
+    def test_leading_zeros_are_not_counted_as_digits_exit2(self, capsys):
+        assert main(["analyze", "--type", "A3", "--p", "0123", "--q", "1"]) == 2
+        assert capsys.readouterr().err == "error: node of 3 digits out of range\n"
+
     def test_unknown_family_exit2(self, capsys):
         assert main(["analyze", "--type", "H3", "--p", "1", "--q", "2"]) == 2
         assert "unknown family" in capsys.readouterr().err

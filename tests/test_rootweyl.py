@@ -7,13 +7,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from parhom import (DiagramError, GuardLimitError, Marking, generate_roots,
-                    induced_components, diagram_involution_table,
+from parhom import (DiagramError, GuardLimitError, Marking, cartan_matrix,
+                    generate_roots, induced_components, diagram_involution_table,
                     parse_diagram_spec, tree_path, weyl_order)
 from parhom import rootweyl
 from parhom.rootweyl import WeightOrbit, reflection_closure
 from weyl_oracle import (WeylElement, WeylSubset, classical_weyl_order,
-                         enumerate_weyl, involution_via_w0, levi_generators,
+                         dense_positive_root_closure, enumerate_weyl, involution_via_w0, levi_generators,
                          lexsort_orbit_neighbours, longest_element,
                          min_coset_length, perm_tables, product_set,
                          weyl_order_estimate)
@@ -93,6 +93,25 @@ class TestRoots:
         rs = rs_for("B3")
         keys = [(sum(c), c) for c in rs.positive_roots]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("spec", ["A40", "B40", "C40", "D40", "E6", "E7", "E8",
+                                      "F4", "G2", "A3xB3", "B20xC20"])
+    def test_sparse_closure_equals_the_dense_oracle(self, spec):
+        d = parse_diagram_spec(spec)
+        cart = cartan_matrix(d)
+        dual = [list(col) for col in zip(*cart)]
+        for mat in (cart, dual):
+            assert (rootweyl._positive_root_closure(mat, d.n)
+                    == dense_positive_root_closure(mat, d.n))
+        rs = generate_roots(d)
+        assert list(rs.positive_roots) == dense_positive_root_closure(cart, d.n)
+        assert rs.positive_coroots.tolist() == [
+            list(c) for c in dense_positive_root_closure(dual, d.n)]
+
+    def test_cartan_array_equals_the_rows(self):
+        rs = rs_for("B3xG2")
+        assert rs.cartan.dtype == np.int16
+        assert rs.cartan.tolist() == cartan_matrix(rs.diagram) == rs.cartan_rows
 
     def test_negative_half_mirrors_positive(self):
         rs = rs_for("C3")

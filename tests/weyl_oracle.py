@@ -12,6 +12,8 @@ results, and the Weyl-order and involution tables, against this model.
 Its guard sizes a subgroup from the closed-form order of each family
 (`classical_weyl_order`) and the classified subdiagram, so it shares no
 code with the library's height product `parhom.rootweyl.weyl_order`.
+`dense_positive_root_closure` pairs each root with all n Cartan columns,
+where the library's closure reads only the nonzero entries.
 """
 
 from __future__ import annotations
@@ -335,6 +337,28 @@ def product_set(a: WeylSubset, b: WeylSubset, weyl_limit=None) -> WeylSubset:
         return WeylSubset(rs, a.rows[:0])
     rows = np.concatenate(blocks)
     return WeylSubset(rs, rows[t.canonical_order(rows)])
+
+
+def dense_positive_root_closure(cart, n) -> list[tuple[int, ...]]:
+    """The positive roots of a Cartan matrix by its full pairing: every
+    simple reflection applied to every root found, each image paired with
+    all n columns, kept when it is new and has no negative coordinate;
+    graded by height, then lexicographic."""
+    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    found = set(simples)
+    frontier = list(simples)
+    while frontier:
+        new = []
+        for c in frontier:
+            for i in range(n):
+                img = list(c)
+                img[i] -= sum(c[j] * cart[j][i] for j in range(n))
+                img = tuple(img)
+                if img not in found and all(x >= 0 for x in img):
+                    found.add(img)
+                    new.append(img)
+        frontier = new
+    return sorted(found, key=lambda c: (sum(c), c))
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
