@@ -15,7 +15,7 @@ from .connectivity import (BoundaryClass, ChainAnalysis, ConsistencyError,
                            ExceptionFlags, LargerAutomorphismCase,
                            ReductionResult, boundary_codim_class,
                            chain_analysis, connectivity_quotient,
-                           exception_flags, exception_notes,
-                           is_cycle_connected, is_separating, reduction)
+                           exception_flags, is_cycle_connected,
+                           is_separating, reduction)
 from .report import (AnalysisReport, build_report, render_json, render_text,
                      render_tsv_row, report_to_dict, tsv_header, verify_report)

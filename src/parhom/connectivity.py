@@ -1,8 +1,8 @@
 """Decision procedures on marked diagram pairs: separation and reduction
 (read off components of the diagram, the reduction off the split
-`ParabolicPair.cycle_components` that also gives the cycle; `tree_path`
-only draws witnesses), cycle-connectivity, minimal chain length by Demazure
-products, boundary codimension class, and the exception tables.
+`ParabolicPair.cycle_components` that also gives the cycle),
+cycle-connectivity, minimal chain length by Demazure products, boundary
+codimension class, and the exception tables.
 
 Subgroup convention used throughout: the Weyl subgroup attached to a
 marking is generated by the reflections of the UNMARKED nodes (the Levi
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynkin import DynkinDiagram, Marking, diagram_involution_table, tree_path
+from .dynkin import DynkinDiagram, Marking, diagram_involution_table
 from .geometry import ParabolicPair, dim_flag_on, levi_split
 from .rootweyl import GuardLimitError, reflection_closure, resolve_weyl_limit, weyl_order
 
@@ -38,30 +38,31 @@ def is_separating(pair: ParabolicPair, chi) -> bool:
 class ReductionResult:
     reduced_marking: Marking
     is_already_reduced: bool
-    forced_witnesses: dict[int, list[int]]
+    witness_starts: dict[int, int]
 
 
 def reduction(pair: ParabolicPair) -> ReductionResult:
     """The smallest subset of psi_q separating psi_p from psi_q: the q in
     psi_p and the q next to one of `pair.cycle_components`.  The witness for
-    q is its path from the smallest p that is q or in a component next to q.
+    q is its path from `witness_starts[q]`, the smallest p that is q or in a
+    component next to q; `report_to_dict` draws it, as only JSON prints it.
 
     >>> from parhom import parse_diagram_spec
-    >>> pair = ParabolicPair(parse_diagram_spec("A4"), [2], [1, 3, 4])
-    >>> reduction(pair).reduced_marking
-    (1, 3)
+    >>> res = reduction(ParabolicPair(parse_diagram_spec("A4"), [2], [1, 3, 4]))
+    >>> res.reduced_marking, res.witness_starts
+    ((1, 3), {1: 2, 3: 2})
     """
     d = pair.diagram
     psi_p = set(pair.psi_p)
     sources = [(min(psi_p.intersection(comp)), set(comp)) for comp in pair.cycle_components]
-    witnesses = {}
+    witness_starts = {}
     for q in pair.psi_q:
         starts = ([p for p, comp in sources if not comp.isdisjoint(d.adjacency[q])]
                   + [q] * (q in psi_p))
         if starts:
-            witnesses[q] = tree_path(d, min(starts), q)
-    reduced = Marking(witnesses)
-    return ReductionResult(reduced, reduced == pair.psi_q, witnesses)
+            witness_starts[q] = min(starts)
+    reduced = Marking(witness_starts)
+    return ReductionResult(reduced, reduced == pair.psi_q, witness_starts)
 
 
 def is_cycle_connected(pair: ParabolicPair) -> bool:
@@ -231,6 +232,7 @@ class LargerAutomorphismCase(Enum):
 class ExceptionFlags:
     mok_zhang_exception: bool
     larger_automorphism_case: LargerAutomorphismCase | None
+    notes: tuple[str, ...]  # degenerate table indices, surfaced instead of guessed
 
 
 _TABLE_FAMILIES = "BCFG"  # the families with entries in either table
@@ -267,23 +269,19 @@ def exception_flags(pair: ParabolicPair) -> ExceptionFlags:
 
     The tangency-rigidity table is matched on (type, psi_p, psi_q) per
     factor; the larger-automorphism table is matched on the reduction of P
-    mod Q (first matching factor wins on product diagrams).  That is read
-    off the split of D minus psi_p, as `reduction` reads Q mod P: the p in
-    psi_q and the p next to a component that meets psi_q.
+    mod Q, the `reduction` of the swapped pair (first matching factor wins
+    on product diagrams).
     """
     d = pair.diagram
     if not any(f.family in _TABLE_FAMILIES for f in d.factors):  # no entry can match
-        return ExceptionFlags(mok_zhang_exception=False, larger_automorphism_case=None)
-    mz = any(_mok_zhang_factor(fam, rank, p, q)
-             for fam, rank, p, q in _local_markings(d, pair.psi_p, pair.psi_q))
-
-    q_set = set(pair.psi_q)
-    near_q = {v for comp in levi_split(pair.roots, pair.psi_p) if not q_set.isdisjoint(comp)
-              for v in comp}
-    p_reduced = Marking(p for p in pair.psi_p
-                        if p in q_set or not near_q.isdisjoint(d.adjacency[p]))
+        return ExceptionFlags(mok_zhang_exception=False, larger_automorphism_case=None, notes=())
+    local = list(_local_markings(d, pair.psi_p, pair.psi_q))
+    notes = tuple(f"B{rank} tangency-table entry with i=1 has no node i-1; "
+                  "pair left unflagged (see README)"
+                  for fam, rank, p, q in local if fam == "B" and p == (1,) and q == (rank,))
+    swapped = ParabolicPair.of_valid(pair.roots, pair.psi_q, pair.psi_p)
     case = None
-    for fam, rank, p, _ in _local_markings(d, p_reduced, Marking()):
+    for fam, rank, p, _ in _local_markings(d, reduction(swapped).reduced_marking, Marking()):
         if fam == "C" and p == (1,):
             case = LargerAutomorphismCase.ODD_SYMPLECTIC_PROJECTIVE
         elif fam == "B" and p == (rank,):
@@ -292,15 +290,5 @@ def exception_flags(pair: ParabolicPair) -> ExceptionFlags:
             case = LargerAutomorphismCase.G2_QUADRIC
         if case is not None:
             break
-    return ExceptionFlags(mok_zhang_exception=mz, larger_automorphism_case=case)
-
-
-def exception_notes(pair: ParabolicPair) -> list[str]:
-    """Degenerate table indices worth surfacing instead of guessing."""
-    notes = []
-    for fam, rank, p, q in _local_markings(pair.diagram, pair.psi_p, pair.psi_q):
-        if fam == "B" and p == (1,) and q == (rank,):
-            notes.append(
-                f"B{rank} tangency-table entry with i=1 has no node i-1; "
-                "pair left unflagged (see README)")
-    return notes
+    return ExceptionFlags(mok_zhang_exception=any(_mok_zhang_factor(*f) for f in local),
+                          larger_automorphism_case=case, notes=notes)

@@ -114,14 +114,6 @@ class DynkinDiagram:
         return tuple(spans)
 
     @cached_property
-    def node_factor(self) -> dict[int, int]:
-        out = {}
-        for k, (lo, hi) in enumerate(self.factor_spans):
-            for v in range(lo, hi + 1):
-                out[v] = k
-        return out
-
-    @cached_property
     def edges(self) -> tuple[Edge, ...]:
         out = []
         for f, (lo, _) in zip(self.factors, self.factor_spans):
@@ -280,17 +272,13 @@ def diagram_involution_table(d: DynkinDiagram) -> dict[int, int]:
 
 def tree_path(d: DynkinDiagram, a: int, b: int) -> list[int] | None:
     """Unique simple path from a to b (inclusive), or None if the nodes lie
-    in different factors.
+    in different factors, which no edge joins.
 
     >>> tree_path(parse_diagram_spec("A4"), 1, 4)
     [1, 2, 3, 4]
     """
     d.check_node(a)
     d.check_node(b)
-    if d.node_factor[a] != d.node_factor[b]:
-        return None
-    if a == b:
-        return [a]
     parent: dict[int, int | None] = {a: None}
     dq = deque([a])
     while dq:
@@ -301,6 +289,8 @@ def tree_path(d: DynkinDiagram, a: int, b: int) -> list[int] | None:
             if w not in parent:
                 parent[w] = v
                 dq.append(w)
+    if b not in parent:
+        return None
     path = [b]
     while path[-1] != a:
         path.append(parent[path[-1]])

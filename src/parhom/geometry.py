@@ -17,63 +17,39 @@ from .dynkin import DynkinDiagram, Marking, induced_components, relabel_to_stand
 from .rootweyl import RootSystem, generate_roots
 
 
-class _memo:
-    """`functools.cached_property` without the lock Python 3.11 takes on each
-    first read: the value goes into the instance dict, where later reads
-    find it before this descriptor."""
-
-    def __init__(self, func):
-        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 @dataclass(frozen=True)
 class ParabolicPair:
     """Two markings over one diagram; the two parabolics share a Borel, so
-    their intersection is the parabolic marked by the union."""
+    their intersection is the parabolic marked by the union.  A pair is
+    made with `roots`, the root system holding the memo tables, its union
+    and intersection markings, and `cycle_components`: the components of D
+    minus psi_q that meet psi_p, where the Q-cycle lives."""
 
     diagram: DynkinDiagram
     psi_p: Marking
     psi_q: Marking
 
     def __post_init__(self):
-        object.__setattr__(self, "psi_p", Marking(self.psi_p).validate_on(self.diagram))
-        object.__setattr__(self, "psi_q", Marking(self.psi_q).validate_on(self.diagram))
+        d = self.diagram
+        self._set(generate_roots(d), Marking(self.psi_p).validate_on(d),
+                  Marking(self.psi_q).validate_on(d))
 
     @classmethod
     def of_valid(cls, roots: RootSystem, psi_p: Marking, psi_q: Marking) -> "ParabolicPair":
         """The pair of two Markings already validated on `roots.diagram`,
-        made with no check; it carries `roots`."""
+        made with no check."""
         pair = object.__new__(cls)
-        pair.__dict__.update(diagram=roots.diagram, psi_p=psi_p, psi_q=psi_q, _roots=roots)
+        pair.__dict__["diagram"] = roots.diagram
+        pair._set(roots, psi_p, psi_q)
         return pair
 
-    @property
-    def roots(self) -> RootSystem:
-        """The root system holding the memo tables: the one an `of_valid`
-        pair carries; for a constructed pair the diagram's current one, so
-        it follows `generate_roots.cache_clear()`."""
-        return self.__dict__.get("_roots") or generate_roots(self.diagram)
-
-    @_memo
-    def union_marking(self) -> Marking:
-        return self.psi_p.union(self.psi_q)
-
-    @_memo
-    def intersection_marking(self) -> Marking:
-        return self.psi_p.intersect(self.psi_q)
-
-    @_memo
-    def cycle_components(self) -> tuple[tuple[int, ...], ...]:
-        """Components of D minus psi_q that meet psi_p: where the Q-cycle lives."""
-        p = set(self.psi_p)
-        return tuple(comp for comp in levi_split(self.roots, self.psi_q)
-                     if not p.isdisjoint(comp))
+    def _set(self, roots: RootSystem, psi_p: Marking, psi_q: Marking):
+        p = set(psi_p)
+        self.__dict__.update(
+            psi_p=psi_p, psi_q=psi_q, roots=roots, union_marking=psi_p.union(psi_q),
+            intersection_marking=psi_p.intersect(psi_q),
+            cycle_components=tuple(comp for comp in levi_split(roots, psi_q)
+                                   if not p.isdisjoint(comp)))
 
 
 def levi_split(rs: RootSystem, psi: Marking) -> tuple[tuple[int, ...], ...]:

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 from .connectivity import (BoundaryClass, ChainAnalysis, ConsistencyError,
                            ExceptionFlags, ReductionResult, boundary_codim_class,
                            chain_analysis, connectivity_quotient, exception_flags,
-                           exception_notes, is_cycle_connected, is_separating,
-                           reduction)
-from .dynkin import DynkinDiagram, Marking
+                           is_cycle_connected, is_separating, reduction)
+from .dynkin import DynkinDiagram, Marking, tree_path
 from .geometry import (CycleDescriptor, ParabolicPair, TowerDims,
                        cycle_descriptor, dim_flag, dim_flag_on)
 from .rootweyl import generate_roots
@@ -92,8 +91,8 @@ def build_report(diagram: DynkinDiagram, psi_p, psi_q, with_chains: bool = False
     chains = (chain_analysis(ctx.reduced_pair(red.reduced_marking)[0], max_k=max_k,
                              weyl_limit=weyl_limit, with_sizes=with_sizes)
               if with_chains else None)
-    warnings = [_LINEARITY_NOTE]
-    warnings.extend(exception_notes(pair))
+    flags = exception_flags(pair)
+    warnings = [_LINEARITY_NOTE, *flags.notes]
     if chains is not None and not chains.complete:
         warnings.append(f"chain analysis truncated at max_k={max_k} before stabilization")
     dim_gpq = dim_flag_on(rs, pair.union_marking)
@@ -110,7 +109,7 @@ def build_report(diagram: DynkinDiagram, psi_p, psi_q, with_chains: bool = False
         quotient=connectivity_quotient(pair),
         criterion_connected=is_cycle_connected(pair),
         boundary=ctx.boundary,
-        flags=exception_flags(pair),
+        flags=flags,
         context=ctx,
         chains=chains,
         warnings=warnings,
@@ -209,7 +208,8 @@ def report_to_dict(r: AnalysisReport) -> dict:
         "reduction": {
             "reduced": list(r.red.reduced_marking),
             "already_reduced": r.red.is_already_reduced,
-            "witnesses": {str(k): list(v) for k, v in sorted(r.red.forced_witnesses.items())},
+            "witnesses": {str(q): tree_path(pair.diagram, p, q)
+                          for q, p in sorted(r.red.witness_starts.items())},
         },
         "quotient_marking": list(r.quotient),
         "connectivity": connectivity,

@@ -70,9 +70,12 @@ def _positive_root_closure(cart, n):
         new = []
         for c in frontier:
             for i, col in enumerate(cols):
-                # s_i moves coordinate i only, c >= 0; top == c[i]: s_i(c) == c
+                # s_i moves coordinate i only.  Every positive root lies on a
+                # chain of simple reflections from a simple root along which
+                # the height increases, so only upward images are needed
+                # (top > c[i] >= 0)
                 top = c[i] - sum(c[j] * a for j, a in col)
-                if 0 <= top != c[i] and (img := c[:i] + (top,) + c[i + 1:]) not in found:
+                if top > c[i] and (img := c[:i] + (top,) + c[i + 1:]) not in found:
                     found.add(img)
                     new.append(img)
         frontier = new

@@ -3,18 +3,17 @@ read both off a component split of the diagram:
 
 - `reduction` and `is_separating` here are the path-walking versions: they
   run `tree_path` for every (p, q) pair and look at where each path first
-  meets psi_q or chi;
+  meets psi_q or chi; a witness start is the first node of the path that
+  kept q;
 - `brute_force_reduction` searches every subset of psi_q for the
   separating ones, sharing no code with the fast path beyond `tree_path`;
 - `larger_automorphism_case` is the exception-table lookup on P mod Q taken
-  as the library's `reduction` of the swapped pair, the way
-  `connectivity.exception_flags` computed it before it read P mod Q off the
-  split of D minus psi_p.
+  as the path-walking `reduction` of the swapped pair, so it shares no code
+  with `connectivity.exception_flags`, which takes the library's.
 """
 
 from itertools import combinations
 
-import parhom
 from parhom import (ConsistencyError, LargerAutomorphismCase, Marking,
                     ParabolicPair, ReductionResult, tree_path)
 from parhom.connectivity import _local_markings
@@ -49,7 +48,7 @@ def reduction(pair: ParabolicPair) -> ReductionResult:
     q-nodes that are the first q-marked node on some path from a p-node."""
     d = pair.diagram
     q_set = set(pair.psi_q)
-    kept, witnesses = [], {}
+    kept, starts = [], {}
     for q in pair.psi_q:
         for p in pair.psi_p:
             path = tree_path(d, p, q)
@@ -58,10 +57,10 @@ def reduction(pair: ParabolicPair) -> ReductionResult:
             first_hit = next(v for v in path if v in q_set)
             if first_hit == q:
                 kept.append(q)
-                witnesses[q] = path
+                starts[q] = path[0]
                 break
     reduced = Marking(kept)
-    return ReductionResult(reduced, reduced == pair.psi_q, witnesses)
+    return ReductionResult(reduced, reduced == pair.psi_q, starts)
 
 
 def brute_force_reduction(pair: ParabolicPair) -> Marking:
@@ -101,7 +100,7 @@ def brute_force_reduction(pair: ParabolicPair) -> Marking:
 def larger_automorphism_case(pair: ParabolicPair):
     """The larger-automorphism entry matched on P mod Q = the reduction of
     (psi_q, psi_p); first matching factor wins."""
-    p_reduced = parhom.reduction(swapped(pair)).reduced_marking
+    p_reduced = reduction(swapped(pair)).reduced_marking
     for fam, rank, p, _ in _local_markings(pair.diagram, p_reduced, Marking(())):
         if fam == "C" and p == (1,):
             return LargerAutomorphismCase.ODD_SYMPLECTIC_PROJECTIVE

@@ -12,7 +12,7 @@ import parhom.connectivity as connectivity
 from parhom import (BoundaryClass, ConsistencyError, GuardLimitError, LargerAutomorphismCase,
                     Marking, ParabolicPair, boundary_codim_class,
                     chain_analysis, connectivity_quotient, dim_flag,
-                    exception_flags, exception_notes, generate_roots,
+                    exception_flags, generate_roots,
                     is_cycle_connected, is_separating, parse_diagram_spec,
                     reduction, tree_path, weyl_order)
 from parhom.cli import main
@@ -116,12 +116,12 @@ class TestReduction:
         res = reduction(pair_of("A4", [2, 3], [3]))
         assert res.reduced_marking == (3,)
         assert res.is_already_reduced
-        assert res.forced_witnesses[3][-1] == 3
+        assert res.witness_starts == {3: 2}  # 2 is next to 3, and smaller
 
     def test_zero_length_path_forces_shared_singleton(self):
         res = reduction(pair_of("A4", [3], [3]))
         assert res.reduced_marking == (3,)
-        assert res.forced_witnesses[3] == [3]
+        assert res.witness_starts == {3: 3}
 
     def test_both_sides_kept(self):
         res = reduction(pair_of("A4", [2], [1, 4]))
@@ -132,7 +132,8 @@ class TestReduction:
         pair = pair_of("D5", [2, 4], [1, 3, 5])
         res = reduction(pair)
         q_set = set(pair.psi_q)
-        for q, path in res.forced_witnesses.items():
+        for q, p in res.witness_starts.items():
+            path = tree_path(pair.diagram, p, q)
             assert path[0] in pair.psi_p and path[-1] == q
             assert next(v for v in path if v in q_set) == q
 
@@ -433,9 +434,9 @@ class TestExceptionFlags:
     def test_b_i1_degenerate_not_flagged_but_noted(self):
         pair = pair_of("B3", [1], [3])
         assert not exception_flags(pair).mok_zhang_exception
-        notes = exception_notes(pair)
+        notes = exception_flags(pair).notes
         assert len(notes) == 1 and "i=1" in notes[0]
-        assert exception_notes(pair_of("B3", [2], [1, 3])) == []
+        assert exception_flags(pair_of("B3", [2], [1, 3])).notes == ()
 
     def test_larger_automorphism_fires_on_reduced_marking(self):
         assert exception_flags(pair_of("C3", [1], [2])).larger_automorphism_case \

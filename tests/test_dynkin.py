@@ -19,6 +19,11 @@ FAMILIES_SAMPLE = ["A1", "A4", "B2", "B4", "C3", "C5", "D4", "D5", "E6", "E7",
                    "E8", "F4", "G2", "A2xG2", "A1xB2", "A2xA2", "B3xC3"]
 
 
+def node_factor(d) -> dict[int, int]:
+    """Node id -> index of its factor, read off `factor_spans`."""
+    return {v: k for k, (lo, hi) in enumerate(d.factor_spans) for v in range(lo, hi + 1)}
+
+
 def bfs_distance(d, a, b):
     """Independent oracle: plain BFS distance on the adjacency lists."""
     if a == b:
@@ -108,7 +113,7 @@ class TestCartan:
     def test_generalized_cartan_invariants(self, spec):
         d = parse_diagram_spec(spec)
         mat = cartan_matrix(d)
-        n = d.n
+        n, factor_of = d.n, node_factor(d)
         for i in range(n):
             assert mat[i][i] == 2
             for j in range(n):
@@ -118,7 +123,7 @@ class TestCartan:
                 assert mat[i][j] * mat[j][i] in (0, 1, 2, 3)
                 assert (mat[i][j] == 0) == (mat[j][i] == 0)
                 # block diagonal across factors
-                if d.node_factor[i + 1] != d.node_factor[j + 1]:
+                if factor_of[i + 1] != factor_of[j + 1]:
                     assert mat[i][j] == 0
 
     @pytest.mark.parametrize("spec", FAMILIES_SAMPLE)
@@ -209,11 +214,12 @@ class TestTreePath:
     @pytest.mark.parametrize("spec", FAMILIES_SAMPLE)
     def test_reversal_and_bfs_length_oracle(self, spec):
         d = parse_diagram_spec(spec)
+        factor_of = node_factor(d)
         for a in range(1, d.n + 1):
             for b in range(1, d.n + 1):
                 path = tree_path(d, a, b)
                 rev = tree_path(d, b, a)
-                if d.node_factor[a] != d.node_factor[b]:
+                if factor_of[a] != factor_of[b]:
                     assert path is None and rev is None
                     continue
                 assert rev == path[::-1]
@@ -232,8 +238,9 @@ class TestStructure:
         for lo, hi in d.factor_spans:
             seen.extend(range(lo, hi + 1))
         assert seen == list(range(1, d.n + 1))
+        factor_of = node_factor(d)
         for e in d.edges:
-            assert d.node_factor[e.a] == d.node_factor[e.b]
+            assert factor_of[e.a] == factor_of[e.b]
         for f, (lo, hi) in zip(d.factors, d.factor_spans):
             assert hi - lo + 1 == f.rank
 

@@ -39,7 +39,7 @@ def run_cli(argv) -> bytes:
     return out.getvalue().encode()
 
 
-# -- exception flags: P mod Q off the split, against the swapped reduction --
+# -- exception flags: P mod Q against the path-walking swapped reduction --
 
 @pytest.mark.parametrize("spec", ["A4", "B4", "C4", "C5", "D5", "F4", "G2", "A2xG2", "E6"])
 def test_exception_flags_match_swapped_reduction(spec):
@@ -264,6 +264,19 @@ def test_sweep_matches_recorded_digest(argv):
     assert got == RECORDED[" ".join(argv)]
 
 
+@pytest.mark.parametrize("argv", workloads.SWEEP[1:], ids=" ".join)
+def test_tsv_sweeps_draw_no_witness_path(monkeypatch, argv):
+    """TSV rows print no witnesses, so no row draws a path, neither for Q
+    mod P nor for the swapped-pair reduction on the B factor."""
+    def refuse(*args):
+        raise AssertionError("a TSV sweep drew a witness path")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "parhom" and hasattr(module, "tree_path"):
+            monkeypatch.setattr(module, "tree_path", refuse)
+    assert hashlib.sha256(run_cli(argv)).hexdigest() == RECORDED[" ".join(argv)]
+
+
 def test_sweep_bytes_do_not_depend_on_table_state():
     argv = ["enumerate", "--type", "B5"]
     generate_roots.cache_clear()
@@ -285,13 +298,14 @@ def test_warm_scans_equal_cold_ones(spec, distinct):
     # the pairs `build_report` scans in an `enumerate --with-chains` sweep
     d = parse_diagram_spec(spec)
     subs = subsets(d.n)
-    pairs = [ParabolicPair(d, p, reduction(ParabolicPair(d, p, q)).reduced_marking)
-             for p in subs[1:] for q in subs]
+    scanned = [(p, reduction(ParabolicPair(d, p, q)).reduced_marking)
+               for p in subs[1:] for q in subs]
     cold = []
-    for pair in pairs:
-        generate_roots.cache_clear()
-        cold.append(scan_fields(chain_analysis(pair)))
+    for p, q in scanned:
+        generate_roots.cache_clear()  # a pair keeps the root system it was made with
+        cold.append(scan_fields(chain_analysis(ParabolicPair(d, p, q))))
     generate_roots.cache_clear()
+    pairs = [ParabolicPair(d, p, q) for p, q in scanned]
     warm, entries = [], 0
     for i, pair in enumerate(pairs):
         warm.append(scan_fields(chain_analysis(pair)))
@@ -321,8 +335,9 @@ def test_truncated_scan_is_not_served_from_the_full_entry():
     assert not short.complete and short.minimal_n is None
     assert short.reachable_sizes == full.reachable_sizes[:2]
     generate_roots.cache_clear()
-    assert scan_fields(chain_analysis(pair, max_k=1)) == scan_fields(short)
-    assert scan_fields(chain_analysis(pair)) == scan_fields(full)
+    cold = ParabolicPair(pair.diagram, pair.psi_p, pair.psi_q)  # on the new root system
+    assert scan_fields(chain_analysis(cold, max_k=1)) == scan_fields(short)
+    assert scan_fields(chain_analysis(cold)) == scan_fields(full)
 
 
 def test_guard_holds_on_a_warm_memo():

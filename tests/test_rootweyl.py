@@ -12,6 +12,7 @@ from parhom import (DiagramError, GuardLimitError, Marking, cartan_matrix,
                     parse_diagram_spec, tree_path, weyl_order)
 from parhom import rootweyl
 from parhom.rootweyl import WeightOrbit, reflection_closure
+from test_dynkin import node_factor
 from weyl_oracle import (WeylElement, WeylSubset, classical_weyl_order,
                          dense_positive_root_closure, enumerate_weyl, involution_via_w0, levi_generators,
                          lexsort_orbit_neighbours, longest_element,
@@ -80,11 +81,12 @@ class TestRoots:
     def test_root_sign_and_support_invariants(self, spec):
         rs = rs_for(spec)
         d = rs.diagram
+        factor_of = node_factor(d)
         for c in perm_tables(rs).roots:
             assert all(x >= 0 for x in c) or all(x <= 0 for x in c)
         for c in rs.positive_roots:
             support = [i + 1 for i, x in enumerate(c) if x != 0]
-            factors = {d.node_factor[v] for v in support}
+            factors = {factor_of[v] for v in support}
             assert len(factors) == 1
             comps = induced_components(d, support)
             assert len(comps) == 1
@@ -95,7 +97,7 @@ class TestRoots:
         assert keys == sorted(keys)
 
     @pytest.mark.parametrize("spec", ["A40", "B40", "C40", "D40", "E6", "E7", "E8",
-                                      "F4", "G2", "A3xB3", "B20xC20"])
+                                      "F4", "G2", "A3xB3", "B20xC20", "G2xF4"])
     def test_sparse_closure_equals_the_dense_oracle(self, spec):
         d = parse_diagram_spec(spec)
         cart = cartan_matrix(d)
