@@ -9,13 +9,11 @@ from .dynkin import (MAX_RANK, DiagramError, DynkinDiagram, Marking,
                      parse_diagram_spec, relabel_to_standard, tree_path)
 from .rootweyl import (GuardLimitError, RootSystem, generate_roots,
                        resolve_weyl_limit, weyl_order)
-from .geometry import (CycleDescriptor, ParabolicPair, TowerDims,
-                       cycle_descriptor, dim_flag)
+from .geometry import CycleDescriptor, ParabolicPair, cycle_descriptor, dim_flag
 from .connectivity import (BoundaryClass, ChainAnalysis, ConsistencyError,
                            ExceptionFlags, LargerAutomorphismCase,
                            ReductionResult, boundary_codim_class,
-                           chain_analysis, connectivity_quotient,
-                           exception_flags, is_cycle_connected,
-                           is_separating, reduction)
+                           chain_analysis, exception_flags,
+                           is_cycle_connected, is_separating, reduction)
 from .report import (AnalysisReport, build_report, render_json, render_text,
                      render_tsv_row, report_to_dict, tsv_header, verify_report)

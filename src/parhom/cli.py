@@ -73,13 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_analyze(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_analyze(args) -> int:
     d = parse_diagram_spec(args.type)
     report = build_report(d, Marking.parse(args.p), Marking.parse(args.q),
                           with_chains=args.chain_length, max_k=args.max_k,
                           weyl_limit=args.weyl_limit)
-    print(render_json(report) if args.json else render_text(report), file=out)
+    print(render_json(report) if args.json else render_text(report))
     return EXIT_OK
 
 
@@ -89,8 +88,7 @@ def _all_markings(d: DynkinDiagram) -> list[Marking]:
                                                    for k in range(d.n + 1))))
 
 
-def cmd_enumerate(args, out=None) -> int:
-    out = out or sys.stdout
+def cmd_enumerate(args) -> int:
     d = parse_diagram_spec(args.type)
     limit = resolve_weyl_limit(args.weyl_limit)
     pairs = (2 ** d.n - 1) * 2 ** d.n
@@ -98,7 +96,7 @@ def cmd_enumerate(args, out=None) -> int:
         raise GuardLimitError(pairs, limit, "sweep pair count")
     subsets = _all_markings(d)
     if args.format == "tsv":
-        print(tsv_header(), file=out)
+        print(tsv_header())
     for p in subsets:
         if not p:
             continue
@@ -110,7 +108,7 @@ def cmd_enumerate(args, out=None) -> int:
                                   weyl_limit=limit, with_sizes=args.format == "json",
                                   context=context)
             print(render_json(report, compact=True) if args.format == "json"
-                  else render_tsv_row(report), file=out)
+                  else render_tsv_row(report))
     return EXIT_OK
 
 

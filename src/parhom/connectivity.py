@@ -71,12 +71,6 @@ def is_cycle_connected(pair: ParabolicPair) -> bool:
     return not pair.intersection_marking
 
 
-def connectivity_quotient(pair: ParabolicPair) -> Marking:
-    """Marking of the parabolic generated by both: the intersection of the
-    marked sets.  Empty means the quotient is a point (connected case)."""
-    return pair.intersection_marking
-
-
 @dataclass
 class ChainAnalysis:
     """Reachability of chain images in the Weyl model.
@@ -91,7 +85,6 @@ class ChainAnalysis:
     minimal_n: int | None
     reachable_sizes: list[int]
     reachable_dims: list[int]
-    quotient_marking: Marking
     complete: bool
 
 
@@ -99,9 +92,10 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
                    with_sizes: bool = True) -> ChainAnalysis:
     """The level sets as Bruhat intervals S_j = [e, x_j], x_0 = w_0(P) and
     x_j = x_{j-1} * w_0(Q) * w_0(P) (Demazure products; Bjorner-Brenti 2.2):
-    `minimal_n` is the first j with l(x_j) = |Phi+|, and the top cell of S_j
-    has dimension l(x_j) - l(x_0).  `with_sizes` also counts |S_j| on the
-    orbit W/W_P, memoised on it per (psi_q, max_k); the guard counts |W/W_P|
+    `minimal_n` is the first j >= 1 with l(x_j) = |Phi+|, so one level is
+    scanned even when x_0 is already w_0, and the top cell of S_j has
+    dimension l(x_j) - l(x_0).  `with_sizes` also counts |S_j| on the orbit
+    W/W_P, memoised on it per (psi_q, max_k); the guard counts |W/W_P|
     either way.  Every call runs the checks and returns fresh lists."""
     if max_k < 1:
         raise ValueError("max_k must be positive")
@@ -139,7 +133,6 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
         minimal_n=len(lengths) - 1 if top else None,
         reachable_sizes=list(sizes),
         reachable_dims=[length - lengths[0] for length in lengths],
-        quotient_marking=pair.intersection_marking,
         complete=complete,
     )
     if complete:

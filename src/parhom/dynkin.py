@@ -132,14 +132,6 @@ class DynkinDiagram:
     def type_string(self) -> str:
         return "x".join(str(f) for f in self.factors)
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.factors,))  # the value the dataclass would compute
-
-    def __hash__(self):
-        # hashed once per diagram: every `generate_roots` lookup hashes it
-        return self._hash
-
     def check_node(self, v) -> None:
         if not isinstance(v, int) or not 1 <= v <= self.n:
             raise DiagramError(
@@ -319,30 +311,22 @@ def induced_components(d: DynkinDiagram, nodes) -> list[list[int]]:
     return comps
 
 
-def _bonds(edges) -> dict[tuple[int, int], tuple[int, int]]:
-    """(u, v) -> (multiplicity, arrow) both ways; the arrow is 1 when v is
-    the short end, -1 when u is, 0 for a single bond."""
-    out = {}
-    for e in edges:
-        arrow = 0 if e.short is None else (1 if e.short == e.b else -1)
-        out[e.a, e.b], out[e.b, e.a] = (e.mult, arrow), (e.mult, -arrow)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _orderings(d: DynkinDiagram, comp: tuple[int, ...]):
     """(SimpleFactor, orderings) for a connected induced subgraph: one
     ordering per isomorphism onto the factor's edge table, index i holding
-    the old node id relabeled i+1.  Cached per node set, so all tuples."""
+    the old node id relabeled i+1.  A bond is matched by its two Cartan
+    entries, C[u][v] and C[v][u], which fix multiplicity and arrow.  Cached
+    per node set, so all tuples."""
     comp_set = set(comp)
-    bonds = _bonds(e for e in d.edges if e.a in comp_set and e.b in comp_set)
+    cart = cartan_matrix(d)
     k = len(comp)
     for fam, lo in _RANK_MIN.items():
         if not lo <= k <= _RANK_MAX.get(fam, k):
             continue
         factor = SimpleFactor(fam, k)
         edges = _factor_edges(factor, 0)
-        want = _bonds(edges)
+        want = cartan_matrix(DynkinDiagram((factor,)))
         # Each edge, in table order, meets a node placed by an earlier edge
         # (node 1 for the first): true of all seven tables, E's 2-4 included.
         # So each edge places one new node, and as both graphs are trees on
@@ -352,9 +336,11 @@ def _orderings(d: DynkinDiagram, comp: tuple[int, ...]):
             grown = []
             for m in maps:
                 old, new = (e.a, e.b) if e.a in m else (e.b, e.a)
-                grown.extend({**m, new: w} for w in d.adjacency[m[old]]
+                u = m[old]
+                grown.extend({**m, new: w} for w in d.adjacency[u]
                              if w in comp_set and w not in m.values()
-                             and bonds[m[old], w] == want[old, new])
+                             and cart[u - 1][w - 1] == want[old - 1][new - 1]
+                             and cart[w - 1][u - 1] == want[new - 1][old - 1])
             maps = grown
         if maps:
             return factor, tuple(tuple(m[i] for i in range(1, k + 1)) for m in maps)

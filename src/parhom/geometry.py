@@ -1,7 +1,7 @@
-"""Dimension formulas for flag spaces, cycles and towers over a marked
-diagram pair, all by counting positive roots against markings.  The
-cycle Q/(Q∩P) and `connectivity.reduction` both read one split of the
-diagram, `ParabolicPair.cycle_components`.  The per-marking values are
+"""Dimension formulas for flag spaces and cycles over a marked diagram
+pair, all by counting positive roots against markings.  The cycle
+Q/(Q∩P) and `connectivity.reduction` both read one split of the diagram,
+`ParabolicPair.cycle_components`.  The per-marking values are
 memoised in tables on the diagram's `RootSystem` (see `rootweyl`).
 
 Marked nodes are the nodes removed from the Levi part, so a larger marking
@@ -132,22 +132,3 @@ def cycle_descriptor(pair: ParabolicPair) -> CycleDescriptor:
         diagram=cycle[2],
     )
 
-
-@dataclass(frozen=True)
-class TowerDims:
-    """Cycle and dual-cycle dimensions; tower level j adds one fiber of
-    each, so dim at level j is j*(k_cycle + l_dual).  The per-level formula
-    is derived from the iterated pullback construction, not quoted, and is
-    validated by the level-1 identity."""
-
-    k_cycle: int
-    l_dual: int
-
-    @property
-    def level_increment(self) -> int:
-        return self.k_cycle + self.l_dual
-
-    def tower_dim_at(self, level: int) -> int:
-        if level < 0:
-            raise ValueError("tower level must be non-negative")
-        return level * self.level_increment

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 from .connectivity import (BoundaryClass, ChainAnalysis, ConsistencyError,
                            ExceptionFlags, ReductionResult, boundary_codim_class,
-                           chain_analysis, connectivity_quotient, exception_flags,
-                           is_cycle_connected, is_separating, reduction)
+                           chain_analysis, exception_flags, is_cycle_connected,
+                           is_separating, reduction)
 from .dynkin import DynkinDiagram, Marking, tree_path
-from .geometry import (CycleDescriptor, ParabolicPair, TowerDims,
-                       cycle_descriptor, dim_flag, dim_flag_on)
+from .geometry import CycleDescriptor, ParabolicPair, cycle_descriptor, dim_flag, dim_flag_on
 from .rootweyl import generate_roots
 
 SCHEMA_VERSION = "parhom/1"
@@ -61,7 +60,6 @@ class AnalysisReport:
     dim_gpq: int
     cycle: CycleDescriptor
     dual_dim: int
-    tower: TowerDims
     red: ReductionResult
     quotient: Marking
     criterion_connected: bool
@@ -96,17 +94,15 @@ def build_report(diagram: DynkinDiagram, psi_p, psi_q, with_chains: bool = False
     if chains is not None and not chains.complete:
         warnings.append(f"chain analysis truncated at max_k={max_k} before stabilization")
     dim_gpq = dim_flag_on(rs, pair.union_marking)
-    dual_dim = dim_gpq - ctx.dim_gp
     report = AnalysisReport(
         pair=pair,
         dim_gp=ctx.dim_gp,
         dim_gq=dim_flag_on(rs, pair.psi_q),
         dim_gpq=dim_gpq,
         cycle=cycle,
-        dual_dim=dual_dim,
-        tower=TowerDims(k_cycle=cycle.dim, l_dual=dual_dim),
+        dual_dim=dim_gpq - ctx.dim_gp,
         red=red,
-        quotient=connectivity_quotient(pair),
+        quotient=pair.intersection_marking,
         criterion_connected=is_cycle_connected(pair),
         boundary=ctx.boundary,
         flags=flags,
@@ -136,8 +132,6 @@ def verify_report(r: AnalysisReport) -> None:
     expect(r.cycle.dim == r.cycle.dim_recomputed(), "cycle dim internal recomputation")
     expect(r.cycle.is_point == (r.cycle.dim == 0), "point flag")
     expect(r.cycle.is_whole_space == (not pair.psi_q), "whole-space flag")
-    expect(r.tower.tower_dim_at(0) == 0, "tower base dimension")
-    expect(r.tower.tower_dim_at(1) == r.cycle.dim + r.dual_dim, "tower level-1 identity")
 
     red = r.red.reduced_marking
     expect(red.issubset(pair.psi_q), "reduction containment")
@@ -199,10 +193,13 @@ def report_to_dict(r: AnalysisReport) -> dict:
             "is_whole_space": r.cycle.is_whole_space,
         },
         "dual_cycle_dim": r.dual_dim,
+        # tower level j adds one cycle fiber and one dual-cycle fiber, so its
+        # dimension is j*(k_cycle + l_dual): derived from the iterated pullback
+        # construction, not quoted; `verify_report` checks both dimensions
         "tower": {
-            "k_cycle": r.tower.k_cycle,
-            "l_dual": r.tower.l_dual,
-            "level_increment": r.tower.level_increment,
+            "k_cycle": r.cycle.dim,
+            "l_dual": r.dual_dim,
+            "level_increment": r.cycle.dim + r.dual_dim,
             "note": _TOWER_NOTE,
         },
         "reduction": {
@@ -262,7 +259,8 @@ def render_text(r: AnalysisReport) -> str:
         f"  marking {r.cycle.marking.render()}  dim {r.cycle.dim}"
         + ("  [point]" if r.cycle.is_point else "")
         + ("  [whole space]" if r.cycle.is_whole_space else ""),
-        f"dual cycle dim = {r.dual_dim}   tower level increment = {r.tower.level_increment} (derived)",
+        f"dual cycle dim = {r.dual_dim}   "
+        f"tower level increment = {r.cycle.dim + r.dual_dim} (derived)",
         f"reduction of Q mod P: {r.red.reduced_marking.render()}"
         f"  (already reduced: {'yes' if r.red.is_already_reduced else 'no'})",
         f"quotient marking (P&Q): {r.quotient.render()}"

@@ -234,6 +234,7 @@ def test_criterion_8_root_count_identities():
 
 def test_criterion_9_determinism():
     def body():
+        from contextlib import redirect_stdout
         from io import StringIO
 
         from parhom.cli import build_parser, cmd_enumerate
@@ -242,7 +243,8 @@ def test_criterion_9_determinism():
         outputs = []
         for _ in range(2):
             buf = StringIO()
-            assert cmd_enumerate(build_parser().parse_args(argv), out=buf) == 0
+            with redirect_stdout(buf):
+                assert cmd_enumerate(build_parser().parse_args(argv)) == 0
             outputs.append(buf.getvalue())
         assert outputs[0].encode() == outputs[1].encode()
         assert len(outputs[0].strip().splitlines()) == 1 + 15 * 16

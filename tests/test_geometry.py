@@ -4,8 +4,9 @@ from itertools import chain, combinations
 
 import pytest
 
-from parhom import (Marking, ParabolicPair, TowerDims, cycle_descriptor,
-                    dim_flag, generate_roots, parse_diagram_spec, reduction)
+from parhom import (Marking, ParabolicPair, build_report, cycle_descriptor,
+                    dim_flag, generate_roots, parse_diagram_spec, reduction,
+                    report_to_dict)
 
 
 def dual_cycle_dim(pair):
@@ -15,8 +16,9 @@ def dual_cycle_dim(pair):
     return dim_flag(d, pair.union_marking) - dim_flag(d, pair.psi_p)
 
 
-def tower_dims(pair):
-    return TowerDims(k_cycle=cycle_descriptor(pair).dim, l_dual=dual_cycle_dim(pair))
+def tower_block(pair):
+    """The `tower` block of the pair's JSON report."""
+    return report_to_dict(build_report(pair.diagram, pair.psi_p, pair.psi_q))["tower"]
 
 
 def subsets(n):
@@ -165,15 +167,15 @@ class TestDualCycleDim:
 class TestTowerDims:
     def test_worked_example(self):
         pair = ParabolicPair(parse_diagram_spec("A3"), Marking([2]), Marking([1]))
-        t = tower_dims(pair)
-        assert (t.k_cycle, t.l_dual) == (2, 1)
-        assert t.tower_dim_at(2) == 6
+        t = tower_block(pair)
+        assert (t["k_cycle"], t["l_dual"]) == (2, 1)
+        assert t["level_increment"] == 3  # the level-2 tower has dimension 6
 
     def test_point_cycles(self):
         pair = ParabolicPair(parse_diagram_spec("A3"), Marking([2]), Marking([1, 2]))
-        t = tower_dims(pair)
-        assert t.k_cycle == 0
-        assert t.tower_dim_at(3) == 3 * t.l_dual
+        t = tower_block(pair)
+        assert t["k_cycle"] == 0
+        assert t["level_increment"] == t["l_dual"]
 
     @pytest.mark.parametrize("spec", ["A3", "B3", "G2"])
     def test_level_one_identity_and_growth(self, spec):
@@ -182,15 +184,10 @@ class TestTowerDims:
         for p in subs:
             for q in subs:
                 pair = ParabolicPair(d, Marking(p), Marking(q))
-                t = tower_dims(pair)
+                t = tower_block(pair)
                 u = pair.union_marking
-                assert t.tower_dim_at(0) == 0
-                assert t.tower_dim_at(1) == (
+                assert (t["k_cycle"], t["l_dual"]) == (
+                    cycle_descriptor(pair).dim, dual_cycle_dim(pair))
+                assert t["level_increment"] == (
                     2 * dim_flag(d, u) - dim_flag(d, p) - dim_flag(d, q))
-                if t.level_increment > 0:
-                    assert t.tower_dim_at(2) > t.tower_dim_at(1)
-
-    def test_negative_level_rejected(self):
-        pair = ParabolicPair(parse_diagram_spec("A2"), Marking([1]), Marking([2]))
-        with pytest.raises(ValueError):
-            tower_dims(pair).tower_dim_at(-1)
+                assert t["level_increment"] >= 0

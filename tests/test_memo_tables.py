@@ -24,6 +24,7 @@ from parhom import (DiagramError, GuardLimitError, Marking, ParabolicPair,
                     relabel_to_standard, weyl_order)
 from parhom import dynkin
 from parhom.cli import main
+from test_connectivity import scan_fields
 from test_geometry import diagrams_up_to_rank, subsets
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -287,11 +288,6 @@ def test_sweep_bytes_do_not_depend_on_table_state():
 
 
 # -- the chain-scan memo on the weight orbit -----------------------------------
-
-def scan_fields(res):
-    return (res.connected, res.minimal_n, res.reachable_sizes, res.reachable_dims,
-            res.quotient_marking, res.complete)
-
 
 @pytest.mark.parametrize("spec,distinct", [("F4", 150), ("D5", 564), ("A2xG2", 120)])
 def test_warm_scans_equal_cold_ones(spec, distinct):

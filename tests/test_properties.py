@@ -20,7 +20,8 @@ from parhom import (Marking, ParabolicPair, chain_analysis, cycle_descriptor,
                     weyl_order)
 from reduction_oracle import brute_force_reduction
 from test_connectivity import permutation_chain_scan, scan_fields
-from weyl_oracle import classical_weyl_order, lexsort_orbit_neighbours
+from weyl_oracle import (classical_weyl_order, levi_generators, lexsort_orbit_neighbours,
+                         weyl_order_estimate)
 
 # every factor of rank <= 8, in the ranks the parser accepts
 FACTORS = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
@@ -111,18 +112,25 @@ def test_rho_lengths_match_demazure_oracle(case):
 
 
 @st.composite
-def small_weyl_pairs(draw, max_order=10_000):
-    """A pair on a diagram with |W| <= max_order, products included; |W| is
-    the product of the factors' closed-form orders."""
-    factors, budget = [], max_order
+def small_weyl_diagrams(draw, max_order=10_000):
+    """(diagram, |W|) with |W| <= max_order, products included; |W| is the
+    product of the factors' closed-form orders."""
+    factors, order = [], 1
     while not factors or draw(st.booleans()):
-        fits = [f for f in FACTORS if classical_weyl_order(f[0], int(f[1:])) <= budget]
+        fits = [f for f in FACTORS
+                if order * classical_weyl_order(f[0], int(f[1:])) <= max_order]
         if not fits:
             break
         factor = draw(st.sampled_from(fits))
         factors.append(factor)
-        budget //= classical_weyl_order(factor[0], int(factor[1:]))
-    d = parse_diagram_spec("x".join(factors))
+        order *= classical_weyl_order(factor[0], int(factor[1:]))
+    return parse_diagram_spec("x".join(factors)), order
+
+
+@st.composite
+def small_weyl_pairs(draw, max_order=10_000):
+    """A pair on a diagram with |W| <= max_order."""
+    d, _ = draw(small_weyl_diagrams(max_order))
     marking = st.sets(st.integers(1, d.n)).map(Marking)
     return ParabolicPair(d, draw(marking), draw(marking))
 
@@ -133,6 +141,23 @@ def small_weyl_pairs(draw, max_order=10_000):
 @given(small_weyl_pairs(), st.sampled_from([32, 2, 1]))
 def test_orbit_scan_matches_the_permutation_scan(pair, max_k):
     assert scan_fields(chain_analysis(pair, max_k=max_k)) == permutation_chain_scan(pair, max_k)
+
+
+# The Borel closed form: with psi_p every node, W_P = 1, so S_0 = {e},
+# S_1 = W_Q and S_2 = W_Q W_Q = W_Q; the scan stops at level 1 when W_Q is
+# all of W (psi_q empty, the one connected case) or 1 (psi_q every node, no
+# length gained), and at level 2 otherwise.  |W_Q| is read off the
+# classification of D minus psi_q.
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(small_weyl_diagrams(max_order=10 ** 5), st.data())
+def test_borel_scan_has_the_closed_form(case, data):
+    d, order = case
+    psi_q = data.draw(st.sets(st.integers(1, d.n)).map(Marking))
+    w_q = weyl_order_estimate(d, levi_generators(d, psi_q))
+    res = chain_analysis(ParabolicPair(d, Marking(range(1, d.n + 1)), psi_q))
+    assert res.reachable_sizes == [1, w_q] + ([w_q] if 1 < w_q < order else [])
+    assert res.complete
+    assert (res.minimal_n == 1) == res.connected == (not psi_q)
 
 
 def chain_summary(pair):

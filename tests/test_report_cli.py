@@ -285,9 +285,12 @@ class TestCliAnalyze:
             "d727585980daec86b3bc0a6a4b8d0539d1329477753af162b55830c001479c78")
 
     def test_empty_marking_spelled_dash(self, capsys):
-        assert main(["analyze", "--type", "A1", "--p", "1", "--q", "-",
-                     "--chain-length"]) == 0
-        assert "minimal N = 1" in capsys.readouterr().out
+        # the point G/P of psi_p = - is already covered at level 0, but
+        # minimal N counts from level 1, as one level is always scanned
+        for p, sizes in (("1", "[1, 2]"), ("-", "[2, 2]")):
+            assert main(["analyze", "--type", "A1", "--p", p, "--q", "-",
+                         "--chain-length"]) == 0
+            assert f"minimal N = 1  sizes {sizes}" in capsys.readouterr().out
 
 
 class TestCliEnumerate:
