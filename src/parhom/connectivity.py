@@ -94,9 +94,11 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
     x_j = x_{j-1} * w_0(Q) * w_0(P) (Demazure products; Bjorner-Brenti 2.2):
     `minimal_n` is the first j >= 1 with l(x_j) = |Phi+|, so one level is
     scanned even when x_0 is already w_0, and the top cell of S_j has
-    dimension l(x_j) - l(x_0).  `with_sizes` also counts |S_j| on the orbit
-    W/W_P, memoised on it per (psi_q, max_k); the guard counts |W/W_P|
-    either way.  Every call runs the checks and returns fresh lists."""
+    dimension l(x_j) - l(x_0).  x_j lies in the Levi W_R, R = psi_p & psi_q.
+    `with_sizes` also counts |S_j|: |W_P| at j = 0, |W_R| where l(x_j) =
+    |Phi+_R|, and the levels between on the orbit W_R/W_P, memoised on it
+    per (psi_q, max_k); the guard counts |W/W_P| either way.  Every call
+    runs the checks and returns fresh lists."""
     if max_k < 1:
         raise ValueError("max_k must be positive")
     d = pair.diagram
@@ -114,18 +116,24 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
     complete = top or lengths[-1] == lengths[-2]
     sizes = ()
     if with_sizes:
-        orbit = rs.weight_orbit(pair.psi_p)
-        if len(orbit) != orbit_size:
-            raise ConsistencyError(
-                f"orbit has {len(orbit)} points, not |W/W_P| = {orbit_size}, on {_where(pair)}")
-        key = (pair.psi_q, max_k)
-        sizes = orbit.scans.get(key)
-        if sizes is None:
-            sizes = orbit.scans[key] = _scan(orbit, p_gens, q_gens, stabilizer, len(lengths) - 1)
-        if (sizes[-1] == orbit_size * stabilizer) != top or any(  # sizes grow where lengths do
-                (a < b) != (c < e) for a, b, c, e in zip(sizes, sizes[1:], lengths, lengths[1:])):
-            raise ConsistencyError(
-                f"orbit scan disagrees with the Demazure lengths on {_where(pair)}")
+        levi = pair.intersection_marking
+        levi_order = weyl_order(d, levi)
+        # the levels below |Phi+_R|, a prefix, as the lengths rise until they stop there
+        scanned = sum(x < rs.num_positive - dim_flag_on(rs, levi) for x in lengths[1:])
+        sizes = (stabilizer,)
+        if scanned:
+            orbit = rs.weight_orbit(pair.psi_p, levi)
+            if len(orbit) != levi_order // stabilizer:
+                raise ConsistencyError(f"orbit has {len(orbit)} points, not |W_R/W_P| = "
+                                       f"{levi_order // stabilizer}, on {_where(pair)}")
+            key = (pair.psi_q, max_k)
+            sizes = orbit.scans.get(key)
+            if sizes is None:
+                sizes = orbit.scans[key] = _scan(orbit, p_gens, q_gens, stabilizer, scanned)
+            if any(a >= b for a, b in zip(sizes, sizes[1:] + (levi_order,))):
+                raise ConsistencyError(
+                    f"orbit scan disagrees with the Demazure lengths on {_where(pair)}")
+        sizes += (levi_order,) * (len(lengths) - 1 - scanned)
 
     connected = top if complete else None
     result = ChainAnalysis(

@@ -140,7 +140,6 @@ def verify_report(r: AnalysisReport) -> None:
     expect(red_again == red, "reduction idempotence")
     expect(red_dim == r.cycle.dim, "moduli dim consistency")
 
-    expect(r.quotient == pair.intersection_marking, "quotient marking")
     expect(r.criterion_connected == (not pair.intersection_marking), "connectivity criterion")
 
     c = r.chains
@@ -159,6 +158,8 @@ def verify_report(r: AnalysisReport) -> None:
         expect(all(dims[i] <= dims[i + 1] for i in range(len(dims) - 1)),
                "reachable dims non-decreasing")
         expect(dims[-1] <= r.dim_gp, "reachable dims bounded by dim G/P")
+        # x_j stops at w_0(R), R the quotient: l = |Phi+| - dim G/P_R, from |Phi+| - dim G/P
+        expect(dims[-1] == r.dim_gp - dim_flag_on(pair.roots, r.quotient), "quotient marking")
         expect((dims[-1] == r.dim_gp) == c.connected, "top cell reached iff connected")
         expect((c.minimal_n is not None) == c.connected, "minimal chain length presence")
 

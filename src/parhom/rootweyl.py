@@ -3,15 +3,16 @@
 Positive roots are integer coordinate vectors in the simple-root basis,
 graded by height, then lexicographic.  Weyl-group orders are read off
 their heights (`weyl_order`), with no classification of the diagram.  W/W_P
-is the orbit of lambda_P = sum of the fundamental weights of a marking:
-label vectors deduplicated per level on packed keys, and a neighbour table
-filled in place, where the chain scan counts sizes (`reflection_closure`).
-Oracles: the permutation model of W, the lexsort build and the dense root
-closure (`tests/weyl_oracle.py`).  numpy is imported in the orbit functions
-only, so it loads only when orbit sizes are counted (`analyze
---chain-length`, `enumerate --with-chains --format json`).
+is the orbit of lambda_P = sum of the fundamental weights of a marking,
+and W_R/W_P, for R in the marking, its orbit under the Levi W_R: label
+vectors deduplicated per level on packed keys, and a neighbour table filled
+in place, where the chain scan counts the sizes it has no closed form for
+(`reflection_closure`).  Oracles: the permutation model of W, the lexsort
+build and the dense root closure (`tests/weyl_oracle.py`).  numpy is
+imported by the orbit code only, so it loads only to count a chain level
+strictly between W_P and W_R (`analyze --chain-length`, JSON chain sweeps).
 
-Orbits run behind a guard limit (default 10**6 points, env
+Chain scans run behind a guard limit on |W/W_P| (default 10**6 points, env
 PARHOM_WEYL_LIMIT) so desk-scale runs stay desk-scale.
 """
 
@@ -97,7 +98,7 @@ class RootSystem:
         # per node i, the (j, C[i][j]) of its neighbours j
         self.moves = tuple(tuple((j, c) for j, c in enumerate(row) if c and j != i)
                            for i, row in enumerate(cart))
-        self._orbit: WeightOrbit | None = None
+        self._orbits: dict[Marking, WeightOrbit] = {}  # the last marking's, per R
         # bit v-1 set iff node v is in the root's support
         self.support_masks = tuple(sum(1 << j for j, x in enumerate(c) if x) for c in pos)
         # memo tables of `dim_flag`, `levi_split`, `cycle_descriptor`, `weyl_order`
@@ -117,43 +118,48 @@ class RootSystem:
         return np.array(self.positive_roots if dual == self.cartan_rows
                         else _positive_root_closure(dual, self.diagram.n))
 
-    def weight_orbit(self, marking) -> "WeightOrbit":
-        """The orbit of lambda_P for this marking, validated on the diagram.
-        The last one built is kept, so a sweep over psi_q for one psi_p
-        builds it once."""
-        marking = Marking(marking)
-        if self._orbit is None or self._orbit.marking != marking:
-            self._orbit = None  # release the old orbit before building
-            self._orbit = WeightOrbit(self, marking.validate_on(self.diagram))
-        return self._orbit
+    def weight_orbit(self, marking, levi=()) -> "WeightOrbit":
+        """The orbit of lambda_P for this marking, validated on the diagram,
+        under the Levi W_R of the marking R = `levi`, a subset of it (W for
+        the empty R).  The orbits of the last marking are kept, one per R,
+        so a sweep over psi_q for one psi_p builds each once."""
+        marking, levi = Marking(marking), Marking(levi)
+        if self._orbits and next(iter(self._orbits.values())).marking != marking:
+            self._orbits.clear()  # release the old orbits before building
+        if levi not in self._orbits:
+            self._orbits[levi] = WeightOrbit(self, marking.validate_on(self.diagram), levi)
+        return self._orbits[levi]
 
     def __repr__(self):
         return f"RootSystem({self.diagram.type_string}, |pos|={self.num_positive})"
 
 
 class WeightOrbit:
-    """The orbit W*lambda of lambda = sum of the fundamental weights of the
-    marked nodes: one point per coset w*W_P, where W_P is generated by the
-    unmarked nodes.
+    """The orbit W_R*lambda of lambda = sum of the fundamental weights of the
+    marked nodes: one point per coset w*W_P of W_R, where W_P is generated by
+    the unmarked nodes and W_R, for R = `levi` in the marking, by the nodes
+    outside R (W_R = W for the empty R).
 
     A point is its Dynkin-label vector m, and the simple reflection s_i
     maps it to m_j - m_i*C[i][j].  Points are listed level by level from
-    lambda, each level the images of the previous one under the s_i with
-    m_i > 0, in lexicographic order of m.  Such a move lengthens the
-    minimal coset representative by one, so a level holds the cosets of one
-    length.  `neighbours[x, i]` is the index of s_{i+1}*x: x itself when
-    m_{i+1} = 0, otherwise the other end of an upward move.
+    lambda, each level the images of the previous one under the s_i, i not
+    in R, with m_i > 0, in lexicographic order of m.  Such a move lengthens
+    the minimal coset representative by one, so a level holds the cosets of
+    one length.  `neighbours[x, i]` is the index of s_{i+1}*x: x itself when
+    m_{i+1} = 0, otherwise the other end of an upward move; a column of a
+    node in R holds x itself, and the chain scan reads none of them.
 
     A level is deduplicated on exact keys: the digits m_j + M of radix 2M+1,
     column 0 first, in as many int64 words as n digits need, where M, the
     largest <lambda, beta^v> over positive coroots, bounds every |m_j|.  The
-    |W|/|W_P| table rows are filled in place; `len` counts the points found.
+    |W_R|/|W_P| table rows are filled in place; `len` counts the points found.
     """
 
-    def __init__(self, rs: RootSystem, marking: Marking):
+    def __init__(self, rs: RootSystem, marking: Marking, levi: Marking = Marking()):
         import numpy as np
         n = rs.diagram.n
         cols = [v - 1 for v in marking]
+        free = ~np.isin(np.arange(1, n + 1), levi)  # the nodes whose moves are taken
         # M <= the highest root's height, < 80 at rank <= 40: int16 holds labels
         bound = int(rs.positive_coroots[:, cols].sum(axis=1).max())
         level = np.zeros((1, n), dtype=np.int16)
@@ -166,13 +172,13 @@ class WeightOrbit:
         # s_i moves a key by -m_i * column i; int64 wraps, but every key fits
         steps = place @ rs.cartan.T.astype(np.int64)
         keys = place @ (level[0] + bound).astype(np.int64)[:, None]  # column x: key(x)
-        size = weyl_order(rs.diagram) // weyl_order(rs.diagram, marking)
+        size = weyl_order(rs.diagram, levi) // weyl_order(rs.diagram, marking)
         table = np.empty((size, n), dtype=np.intp)
         flat = table.reshape(-1)
         table[0] = 0
         start, count = 0, 1  # the first row of the last level; the points found
         while True:
-            up = np.flatnonzero(level > 0)  # the moves x*n + i with m_i > 0
+            up = np.flatnonzero((level > 0) & free)  # the moves x*n + i with m_i > 0
             if not len(up):
                 break
             src, gen = np.divmod(up, n)

@@ -1,9 +1,10 @@
 """Reduction, connectivity, chain reachability, boundary and exception
 tables, checked against brute-force subset search, the marking criterion,
-a permutation-row chain scan, Demazure products and closed-form chain
-lengths."""
+a permutation-row chain scan, a scan of every level on the full orbit
+W/W_P, Demazure products and closed-form chain lengths."""
 
 import random
+from functools import lru_cache
 from itertools import chain, combinations
 
 import pytest
@@ -17,6 +18,7 @@ from parhom import (BoundaryClass, ConsistencyError, GuardLimitError, LargerAuto
                     reduction, tree_path, weyl_order)
 from parhom.cli import main
 from parhom.report import build_report
+from parhom.rootweyl import WeightOrbit
 from demazure_oracle import demazure_chain_scan
 from reduction_oracle import brute_force_reduction, swapped
 from weyl_oracle import (levi_generators, outside_levi_indices, perm_tables,
@@ -90,6 +92,22 @@ def scan_fields(res):
     """The fields of a ChainAnalysis that `permutation_chain_scan` returns."""
     return (res.connected, res.minimal_n, res.reachable_sizes, res.reachable_dims,
             res.complete)
+
+
+@lru_cache(maxsize=2)
+def full_orbit(d, psi_p):
+    return WeightOrbit(generate_roots(d), psi_p)
+
+
+def full_orbit_sizes(pair, max_k=32):
+    """Oracle: every |S_j|, S_0 included, scanned on the full orbit W/W_P,
+    with no level in closed form and no Levi orbit."""
+    d = pair.diagram
+    levels = len(chain_analysis(pair, max_k, with_sizes=False).reachable_dims) - 1
+    p_gens, q_gens = ([i for i in range(d.n) if i + 1 not in psi]
+                      for psi in (pair.psi_p, pair.psi_q))
+    return list(connectivity._scan(full_orbit(d, pair.psi_p), p_gens, q_gens,
+                                   weyl_order(d, pair.psi_p), levels))
 
 
 class TestSeparation:
@@ -248,6 +266,19 @@ class TestChainAnalysis:
             pair = ParabolicPair(d, Marking(p), Marking(q))
             assert scan_fields(chain_analysis(pair)) == permutation_chain_scan(pair), (p, q)
 
+    @pytest.mark.parametrize("spec", ["A4", "B3", "G2", "F4", "E6"])
+    def test_sizes_match_the_full_orbit_scan_on_every_pair(self, spec):
+        # the golden diagrams: the Levi orbit W_R/W_P and the closed-form
+        # levels give the sizes of the full orbit, truncated scans included
+        d = parse_diagram_spec(spec)
+        subs = subsets(d.n)
+        for p in subs:
+            for q in subs:
+                pair = ParabolicPair(d, Marking(p), Marking(q))
+                for max_k in (32, 1):
+                    assert chain_analysis(pair, max_k).reachable_sizes == \
+                        full_orbit_sizes(pair, max_k), (spec, p, q, max_k)
+
     def test_truncated_scan_matches_permutation_scan(self):
         for p, q in [([2], [3]), ([1, 3], [2]), ([2], [1, 4])]:
             pair = pair_of("A4", p, q)
@@ -360,10 +391,12 @@ class TestChainAnalysis:
             (full.connected, full.minimal_n, full.reachable_dims, full.complete)
 
 
-# orbit sizes of D5 (1,5) vs (3), (24, 552, 1728, 1920), bent one way each
+# orbit sizes of D5 (1,5) vs (3): the scan gives (24, 552, 1728), and the
+# level where the lengths reach |Phi+| is |W| = 1920 in closed form; the
+# scanned sizes bent one way each
 SKEWS = {
     "flat level": lambda s: (s[0], s[0]) + s[2:],  # grows where the lengths do not
-    "short of W": lambda s: s[:-1] + (s[-1] - 1,),  # misses |W| where the lengths reach |Phi+|
+    "short of W": lambda s: s[:-1] + (1920,),  # reaches |W| a level short of |Phi+|
 }
 
 

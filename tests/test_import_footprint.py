@@ -1,4 +1,5 @@
-"""numpy loads only where a weight orbit is built.
+"""numpy loads only where a weight orbit is built: a chain level strictly
+between W_P and the Levi W_R of psi_p & psi_q.
 
 Each case runs the CLI in a fresh interpreter, since this test process has
 numpy loaded already, and reads back whether `numpy` was imported."""
@@ -68,7 +69,32 @@ def test_guard_refusal_loads_no_numpy():
                    "raise --weyl-limit or PARHOM_WEYL_LIMIT"]
 
 
+# reports whose every chain level is closed form: |W_P| at level 0, then
+# |W_R|, R = psi_p & psi_q.  The E6 and E7 digests are those of the same
+# reports scanned on the full orbit W/W_P; the E8 one is recorded from the
+# closed form, as its full orbit's 696,729,600 x 8 neighbour table (45 GB)
+# was too large to build
+REPORT_DIGESTS = json.loads((GOLDEN / "chain_reports_sha256.json").read_text())
+BOREL = "--chain-length --json --weyl-limit"
+CLOSED_FORM_SIZES = [
+    ("analyze --type E6 --p 1,6 --q 1 --chain-length --json", [192, 1920, 1920]),
+    (f"analyze --type E7 --p 1,2,3,4,5,6,7 --q - {BOREL} 3000000", [1, 2903040]),
+    (f"analyze --type E7 --p 1,2,3,4,5,6,7 --q 7 {BOREL} 3000000", [1, 51840, 51840]),
+    (f"analyze --type E8 --p 1,2,3,4,5,6,7,8 --q 8 {BOREL} 696729600", [1, 2903040, 2903040]),
+]
+
+
+@pytest.mark.parametrize("command,sizes", CLOSED_FORM_SIZES,
+                         ids=["E6-disconnected", "E7-Borel-q-empty", "E7-Borel-q7", "E8-Borel-q8"])
+def test_closed_form_sizes_load_no_numpy(command, sizes):
+    code, out, err, numpy_loaded = run_child(*command.split())
+    assert (code, err, numpy_loaded) == (0, [], False)
+    assert json.loads(out)["connectivity"]["reachable_sizes"] == sizes
+    assert hashlib.sha256(out).hexdigest() == REPORT_DIGESTS[command]
+
+
 def test_orbit_sizes_load_numpy():
+    # psi_p & psi_q is empty and level 1 is short of |W|: it is scanned
     code, out, err, numpy_loaded = run_child(
         "analyze", "--type", "E6", "--p", "1", "--q", "2", "--chain-length", "--json")
     assert (code, err, numpy_loaded) == (0, [], True)

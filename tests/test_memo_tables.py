@@ -306,10 +306,16 @@ def test_warm_scans_equal_cold_ones(spec, distinct):
     for i, pair in enumerate(pairs):
         warm.append(scan_fields(chain_analysis(pair)))
         if i + 1 == len(pairs) or pairs[i + 1].psi_p != pair.psi_p:
-            entries += len(generate_roots(d).weight_orbit(pair.psi_p).scans)
+            # the memo entries on the orbits of this psi_p, one orbit per R
+            entries += sum(len(orbit.scans) for orbit in generate_roots(d)._orbits.values()
+                           if orbit.marking == pair.psi_p)
     assert warm == cold
-    # one scan per distinct (psi_p, red psi_q), each of the other rows a hit
-    assert entries == distinct < len(pairs)
+    # one scan per distinct (psi_p, red psi_q) whose level 1 is short of
+    # |W_R|, R = psi_p & psi_q; the other levels are closed form, and each
+    # of the other rows a hit
+    assert len(set(scanned)) == distinct < len(pairs)
+    assert entries == len({(p, q) for (p, q), (_, _, sizes, _, _) in zip(scanned, cold)
+                           if sizes[1] < weyl_order(d, Marking(p).intersect(q))}) > 0
 
 
 def test_mutating_a_returned_scan_leaves_the_next_alone():
@@ -345,6 +351,8 @@ def test_guard_holds_on_a_warm_memo():
 
 
 def test_memo_goes_with_the_orbit_slot():
+    # the slot holds the orbits of one psi_p, one per R = psi_p & psi_q; every
+    # pair here has R empty, so each scan lands on that psi_p's full orbit
     d = parse_diagram_spec("F4")
     generate_roots.cache_clear()
     rs = generate_roots(d)

@@ -1,8 +1,9 @@
 """The component-split `reduction` and `is_separating` against their
 path-walking oracles, exhaustively at low rank and by Hypothesis on random
 diagrams of rank <= 8, reduced-pair invariance of the cycle and of the
-chain scan, the chain scan's Demazure lengths against the oracle's, and its
-orbit sizes against the permutation-row scan."""
+chain scan, the chain scan's Demazure lengths against the oracle's, its
+first length against |Phi+| - dim G/P, and its orbit sizes against the
+permutation-row scan and the full-orbit scan."""
 
 import random
 from datetime import timedelta
@@ -13,13 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parhom.connectivity as connectivity
 import reduction_oracle as oracle
 from demazure_oracle import demazure_chain_scan
-from parhom import (Marking, ParabolicPair, chain_analysis, cycle_descriptor,
+from parhom import (Marking, ParabolicPair, chain_analysis, cycle_descriptor, dim_flag,
                     generate_roots, is_separating, parse_diagram_spec, reduction,
                     weyl_order)
 from reduction_oracle import brute_force_reduction
-from test_connectivity import permutation_chain_scan, scan_fields
+from test_connectivity import full_orbit_sizes, permutation_chain_scan, scan_fields
 from weyl_oracle import (classical_weyl_order, levi_generators, lexsort_orbit_neighbours,
                          weyl_order_estimate)
 
@@ -160,6 +162,18 @@ def test_borel_scan_has_the_closed_form(case, data):
     assert (res.minimal_n == 1) == res.connected == (not psi_q)
 
 
+# l(x_0) = l(w_0(P)) counts the positive roots of the Levi of P, those whose
+# support misses psi_p: |Phi+| - dim G/P
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_weyl_diagrams(max_order=10 ** 9), st.data())
+def test_first_length_is_the_levi_root_count(case, data):
+    d, _ = case
+    psi_p = data.draw(st.sets(st.integers(1, d.n)).map(Marking))
+    rs = generate_roots(d)
+    p_gens = [i for i in range(d.n) if i + 1 not in psi_p]
+    assert connectivity._lengths(rs, p_gens, p_gens, 1)[0] == rs.num_positive - dim_flag(d, psi_p)
+
+
 def chain_summary(pair):
     scan = chain_analysis(pair)
     return scan.connected, scan.minimal_n, scan.reachable_sizes, scan.reachable_dims
@@ -204,3 +218,13 @@ def test_orbit_table_equals_the_lexsort_build(case):
     rs = generate_roots(d)
     assert np.array_equal(rs.weight_orbit(marking).neighbours,
                           lexsort_orbit_neighbours(rs, marking))
+
+
+# the Levi orbit W_R/W_P and the closed-form levels against every level
+# scanned on the full orbit W/W_P
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(small_orbits(), st.data(), st.sampled_from([32, 2, 1]))
+def test_levi_sizes_match_the_full_orbit_scan(case, data, max_k):
+    d, psi_p = case
+    pair = ParabolicPair(d, psi_p, data.draw(st.sets(st.integers(1, d.n)).map(Marking)))
+    assert chain_analysis(pair, max_k=max_k).reachable_sizes == full_orbit_sizes(pair, max_k)

@@ -269,10 +269,11 @@ class TestCliAnalyze:
         # not hide that from the size check
         rs = generate_roots(parse_diagram_spec("E6"))
         monkeypatch.setattr(rs, "positive_coroots", rs.positive_coroots // 2)
-        monkeypatch.setattr(rs, "_orbit", None)
+        monkeypatch.setattr(rs, "_orbits", {})
+        # psi_p & psi_q is empty, so W_R = W and the orbit is all of W/W_P
         assert main(["analyze", "--type", "E6", "--p", "2,4", "--q", "1",
                      "--chain-length", "--json"]) == 4
-        found = re.search(r"orbit has (\d+) points, not \|W/W_P\| = 1440",
+        found = re.search(r"orbit has (\d+) points, not \|W_R/W_P\| = 1440",
                           capsys.readouterr().err)
         assert found and int(found[1]) < 1440
 
