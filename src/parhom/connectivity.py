@@ -96,8 +96,10 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
     scanned even when x_0 is already w_0, and the top cell of S_j has
     dimension l(x_j) - l(x_0).  x_j lies in the Levi W_R, R = psi_p & psi_q.
     `with_sizes` also counts |S_j|: |W_P| at j = 0, |W_R| where l(x_j) =
-    |Phi+_R|, and the levels between on the orbit W_R/W_P, memoised on it
-    per (psi_q, max_k); the guard counts |W/W_P| either way.  Every call
+    |Phi+_R|, and the levels between as points of the orbit W_R/W_P, by
+    the subword property (Bjorner-Brenti 2.2.2) on the letters of x_j, as
+    x_j^-1 = x_j (`_scan`); memoised on the root system per (psi_q, max_k)
+    for the last psi_p.  The guard counts |W/W_P| either way.  Every call
     runs the checks and returns fresh lists."""
     if max_k < 1:
         raise ValueError("max_k must be positive")
@@ -111,7 +113,8 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
     # the Levi generators as columns: the unmarked nodes
     p_gens, q_gens = ([i for i in range(d.n) if i + 1 not in psi]
                       for psi in (pair.psi_p, pair.psi_q))
-    lengths = _lengths(rs, p_gens, q_gens, max_k)
+    letters = [] if with_sizes else None
+    lengths = _lengths(rs, p_gens, q_gens, max_k, letters)
     top = lengths[-1] == rs.num_positive
     complete = top or lengths[-1] == lengths[-2]
     sizes = ()
@@ -122,14 +125,14 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
         scanned = sum(x < rs.num_positive - dim_flag_on(rs, levi) for x in lengths[1:])
         sizes = (stabilizer,)
         if scanned:
-            orbit = rs.weight_orbit(pair.psi_p, levi)
-            if len(orbit) != levi_order // stabilizer:
-                raise ConsistencyError(f"orbit has {len(orbit)} points, not |W_R/W_P| = "
-                                       f"{levi_order // stabilizer}, on {_where(pair)}")
-            key = (pair.psi_q, max_k)
-            sizes = orbit.scans.get(key)
+            if rs.scans and next(iter(rs.scans))[0] != pair.psi_p:
+                rs.scans.clear()  # the memo holds the scans of the last psi_p only
+            key = (pair.psi_p, pair.psi_q, max_k)
+            sizes = rs.scans.get(key)
             if sizes is None:
-                sizes = orbit.scans[key] = _scan(orbit, p_gens, q_gens, stabilizer, scanned)
+                ends = [x - lengths[0] for x in lengths[1:scanned + 1]]
+                sizes = rs.scans[key] = _scan(pair, letters, ends, stabilizer,
+                                              levi_order // stabilizer)
             if any(a >= b for a, b in zip(sizes, sizes[1:] + (levi_order,))):
                 raise ConsistencyError(
                     f"orbit scan disagrees with the Demazure lengths on {_where(pair)}")
@@ -158,12 +161,17 @@ def _where(pair: ParabolicPair) -> str:
     return f"{pair.diagram.type_string} psi_p={pair.psi_p.render()} psi_q={pair.psi_q.render()}"
 
 
-def _lengths(rs, p_gens: list[int], q_gens: list[int], max_k: int) -> list[int]:
+def _lengths(rs, p_gens: list[int], q_gens: list[int], max_k: int,
+             letters: list[int] | None = None) -> list[int]:
     """[l(x_0), ..., l(x_j)], to the level that reaches |Phi+|, adds nothing or
     is the max_k-th.  m = the Dynkin labels of x^-1(rho): x*s_i > x iff m_i > 0,
     and its labels are m_j - m_i*C[i][j], so x * w_0(I) takes that move while
-    some i in I has m_i > 0."""
+    some i in I has m_i > 0.  `letters`, when given, gets the nodes of the
+    moves after x_0, continued over the nodes outside R = psi_p & psi_q up to
+    w_0(R) when max_k stops the chain first: x_0 and then `letters` spell a
+    reduced word of w_0(R) whose prefixes are the x_j."""
     m = [1] * rs.diagram.n
+    record = None
 
     def star(gens) -> int:
         steps, before = 0, -1
@@ -175,32 +183,70 @@ def _lengths(rs, p_gens: list[int], q_gens: list[int], max_k: int) -> list[int]:
                     for j, c in rs.moves[i]:
                         m[j] -= mi * c
                     steps += 1
+                    if record is not None:
+                        record.append(i)
         return steps
 
     lengths = [star(p_gens)]
+    record = letters  # the moves of x_0 = w_0(P) fix lambda_P
     for _ in range(max_k):
         lengths.append(lengths[-1] + star(q_gens) + star(p_gens))
         if lengths[-1] in (rs.num_positive, lengths[-2]):
             break
+    if letters is not None:
+        star(p_gens + q_gens)
     return lengths
 
 
-def _scan(orbit, p_gens: list[int], q_gens: list[int], stabilizer: int, levels: int) -> tuple:
-    """(|S_0|, ..., |S_levels|): S_j, a union of cosets w*W_P, as a mask over
-    the orbit points, so |S_j| = popcount * |W_P|."""
+def _scan(pair: ParabolicPair, letters: list[int], ends: list[int], stabilizer: int,
+          size: int) -> tuple:
+    """(|S_0|, |S_1|, ...), |S_j| once l(x_j) - l(x_0) letters, the j-th of
+    `ends`, are read.  x_j is a Demazure product of involutions, so x_j^-1 =
+    x_j, and by the subword property (Bjorner-Brenti 2.2.2) S_j*lambda_P is
+    U_k, k = l(x_j) - l(x_0), for U_0 = {lambda_P}, fixed by W_P, and U_k =
+    U_{k-1} | s_a*U_{k-1} for the k-th letter a.  The points are cosets
+    w*W_P, so |S_j| = |U_k| * |W_P|.
+
+    A point is its Dynkin-label vector m, and s_a maps it to m_j - m_a*C[a][j].
+    The points are kept in the order added, as exact keys only: the digits
+    m_j + M of radix 2M+1, node 1 first, in as many words below 2**62 as n
+    digits need, where M, the largest <lambda_P, beta^v> over positive coroots,
+    bounds every |m_j|.  U is s_a-closed after each letter a, so the next a
+    reads only the points added since, decoding their m_a
+    (`reflection_closure`).  The letters end at w_0(R), so U must end with
+    all `size` = |W_R/W_P| points; nothing is written past them."""
     import numpy as np
-    nb, p_cols, q_cols = orbit.neighbours, np.array(p_gens, np.intp), np.array(q_gens, np.intp)
-    # S_0 = W_P is the single point lambda_P, fixed by every P move
-    mask = np.zeros(len(orbit), dtype=bool)
-    mask[0] = True
-    fresh = np.zeros(1, dtype=np.intp)
-    counts = [1]
-    for _ in range(levels):
-        # the mask is P-closed, and Q-closed apart from `fresh`
-        from_q = reflection_closure(mask, nb, q_cols, fresh)
-        fresh = np.concatenate([from_q, reflection_closure(mask, nb, p_cols, from_q)])
-        counts.append(counts[-1] + len(fresh))
-    return tuple(count * stabilizer for count in counts)
+    rs, n = pair.roots, pair.diagram.n
+    cols = [v - 1 for v in pair.psi_p]
+    bound = int(rs.positive_coroots[:, cols].sum(axis=1).max())
+    radix = 2 * bound + 1
+    width = next(w for w in range(n, 0, -1) if radix ** w <= 1 << 62)
+    place = np.zeros((n, -(-n // width)), dtype=np.int64)  # a row per node, a column per word
+    for j in range(n):
+        place[j, j // width] = radix ** (width - 1 - j % width)
+    # s_a moves a key by -m_a * row a; int64 wraps, but every key fits
+    steps = rs.cartan.astype(np.int64) @ place
+    keys = np.empty((size, len(place[0])), dtype=np.int64)
+    keys[0] = (np.bincount(cols, minlength=n) + bound) @ place
+    closed = [0] * n  # per node a: the point count when U was last s_a-closed
+    count, counts = 1, [1]
+    for k, a in enumerate(letters, 1):
+        if closed[a] < count:  # else U is still s_a-closed
+            rows = keys[closed[a]:count]
+            m = rows[:, a // width] // int(place[a, a // width]) % radix - bound
+            new = reflection_closure(m, rows, steps[a])
+            end = count + len(new)
+            if end > size:  # stop before writing past the keys
+                count = end
+                break
+            keys[count:end] = new
+            count = closed[a] = end
+        if k in ends:
+            counts.append(count)
+    if count != size:
+        raise ConsistencyError(f"orbit has {count} points, not |W_R/W_P| = {size}, "
+                               f"on {_where(pair)}")
+    return tuple(c * stabilizer for c in counts)
 
 
 class BoundaryClass(Enum):

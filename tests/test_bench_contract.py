@@ -1,8 +1,8 @@
 """The benchmark's tracer wraps parhom functions by module and name
 (`bench/tracer.py` TARGETS).  Every target must still resolve, and every
 call the CLI makes to one must pass through its wrapper.  Chain sizes, and
-so weight orbits and their closures, exist only on the JSON and text paths:
-a TSV chain sweep builds no orbit."""
+so the size scan and its closures, exist only on the JSON and text paths:
+a TSV chain sweep scans no orbit."""
 
 import hashlib
 import io
@@ -12,8 +12,9 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import parhom.cli
+import parhom.connectivity as connectivity
 from parhom import Marking, ParabolicPair
-from parhom.rootweyl import WeightOrbit, generate_roots
+from parhom.rootweyl import generate_roots
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -84,14 +85,14 @@ def test_traced_chain_counts_cover_memo_served_rows():
 
 def test_tsv_chain_sweep_builds_no_orbit(monkeypatch):
     """TSV rows print no sizes, so a TSV chain sweep runs the closure 0
-    times, and prints its recorded table with `WeightOrbit` unusable."""
+    times, and prints its recorded table with the size scan unusable."""
     assert traced_calls(list(workloads.COVERAGE_ARGV))["rootweyl.reflection_closure"] == 0
 
-    def refuse(self, *args):
-        raise AssertionError("a TSV chain sweep built a weight orbit")
+    def refuse(*args):
+        raise AssertionError("a TSV chain sweep scanned an orbit")
 
-    monkeypatch.setattr(WeightOrbit, "__init__", refuse)
-    generate_roots.cache_clear()  # no orbit left over from an earlier test
+    monkeypatch.setattr(connectivity, "_scan", refuse)
+    generate_roots.cache_clear()  # no scan memo left over from an earlier test
     command = "enumerate --type E6 --with-chains"
     out = io.StringIO()
     with redirect_stdout(out):

@@ -18,11 +18,10 @@ from parhom import (BoundaryClass, ConsistencyError, GuardLimitError, LargerAuto
                     reduction, tree_path, weyl_order)
 from parhom.cli import main
 from parhom.report import build_report
-from parhom.rootweyl import WeightOrbit
 from demazure_oracle import demazure_chain_scan
 from reduction_oracle import brute_force_reduction, swapped
-from weyl_oracle import (levi_generators, outside_levi_indices, perm_tables,
-                         permutation_closure)
+from weyl_oracle import (levi_generators, lexsort_orbit_neighbours, orbit_scan_sizes,
+                         outside_levi_indices, perm_tables, permutation_closure)
 
 
 def subsets(n):
@@ -96,18 +95,19 @@ def scan_fields(res):
 
 @lru_cache(maxsize=2)
 def full_orbit(d, psi_p):
-    return WeightOrbit(generate_roots(d), psi_p)
+    return lexsort_orbit_neighbours(generate_roots(d), psi_p)
 
 
 def full_orbit_sizes(pair, max_k=32):
-    """Oracle: every |S_j|, S_0 included, scanned on the full orbit W/W_P,
-    with no level in closed form and no Levi orbit."""
+    """Oracle: every |S_j|, S_0 included, scanned as masks on the neighbour
+    table of the full orbit W/W_P, with no level in closed form, no Levi
+    orbit and no reduced word."""
     d = pair.diagram
     levels = len(chain_analysis(pair, max_k, with_sizes=False).reachable_dims) - 1
     p_gens, q_gens = ([i for i in range(d.n) if i + 1 not in psi]
                       for psi in (pair.psi_p, pair.psi_q))
-    return list(connectivity._scan(full_orbit(d, pair.psi_p), p_gens, q_gens,
-                                   weyl_order(d, pair.psi_p), levels))
+    return orbit_scan_sizes(full_orbit(d, pair.psi_p), p_gens, q_gens,
+                            weyl_order(d, pair.psi_p), levels)
 
 
 class TestSeparation:
@@ -404,7 +404,7 @@ SKEWS = {
 def cold_roots():
     generate_roots.cache_clear()
     yield
-    generate_roots.cache_clear()  # no bent scan stays in an orbit's memo
+    generate_roots.cache_clear()  # no bent scan stays in the scan memo
 
 
 @pytest.mark.parametrize("skew", sorted(SKEWS))

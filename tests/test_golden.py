@@ -50,7 +50,7 @@ def chain_table(command: str) -> str:
 
 @pytest.mark.parametrize("command", [c for c in sorted(CHAIN_DIGESTS) if "E6" not in c])
 def test_chain_table_matches_golden_digest(command):
-    # E6 is checked with WeightOrbit disabled, in test_bench_contract
+    # E6 is checked with the size scan disabled, in test_bench_contract
     got = hashlib.sha256(chain_table(command).encode()).hexdigest()
     assert got == CHAIN_DIGESTS[command]
 

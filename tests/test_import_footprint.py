@@ -1,8 +1,9 @@
-"""numpy loads only where a weight orbit is built: a chain level strictly
+"""numpy loads only where a weight orbit is scanned: a chain level strictly
 between W_P and the Levi W_R of psi_p & psi_q.
 
 Each case runs the CLI in a fresh interpreter, since this test process has
-numpy loaded already, and reads back whether `numpy` was imported."""
+numpy loaded already, and reads back whether `numpy` was imported.  The
+largest E7 scan also reads back its peak RSS."""
 
 import hashlib
 import json
@@ -16,26 +17,33 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 
-# runs `parhom.cli.main` on argv, then reports numpy on the last stderr line
+# runs `parhom.cli.main` on argv, then reports numpy and the peak RSS in KiB
+# on the last stderr line.  The peak is VmHWM, not ru_maxrss: Linux carries
+# ru_maxrss across exec, so a child of a large test process would report
+# its parent's peak
 CHILD = """
 import sys
 import parhom, parhom.cli
 code = parhom.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+with open("/proc/self/status") as status:
+    peak = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print("numpy loaded:", "numpy" in sys.modules, peak, file=sys.stderr)
 sys.exit(code)
 """
 
 
-def run_child(*argv):
-    """(exit code, stdout bytes, stderr lines before the numpy line, numpy loaded)."""
+def run_child(*argv, rss=False):
+    """(exit code, stdout bytes, stderr lines before the numpy line, numpy
+    loaded), and the child's peak RSS in MiB last if `rss`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     env.pop("PARHOM_WEYL_LIMIT", None)
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
                           env=env, timeout=300, check=False)
     *err, last = proc.stderr.decode().splitlines()
-    assert last.startswith("numpy loaded: ")
-    return proc.returncode, proc.stdout, err, last == "numpy loaded: True"
+    _, _, loaded, peak_kib = last.split()
+    result = proc.returncode, proc.stdout, err, loaded == "True"
+    return result + (int(peak_kib) / 1024,) if rss else result
 
 
 def test_import_loads_no_numpy():
@@ -102,3 +110,13 @@ def test_orbit_sizes_load_numpy():
     # the digest of this report when numpy was imported at module level
     assert hashlib.sha256(out).hexdigest() == (
         "de3c63cab1cf10ee1278bf9d64f8a78bf33b1878902b646358a66ca6607e8a5f")
+
+
+def test_largest_e7_scan_fits_its_memory_target():
+    # the largest connected E7 scan: 1,451,520 points of W/W_P, held as keys
+    # only; the neighbour-table build peaked at 145 MiB.  The digest is its output
+    command = "analyze --type E7 --p 1,2,3,5,6,7 --q 4 --chain-length --json --weyl-limit 3000000"
+    code, out, err, numpy_loaded, peak_mib = run_child(*command.split(), rss=True)
+    assert (code, err, numpy_loaded) == (0, [], True)
+    assert hashlib.sha256(out).hexdigest() == REPORT_DIGESTS[command]
+    assert peak_mib <= 110

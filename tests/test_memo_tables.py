@@ -1,16 +1,14 @@
 """The per-diagram memo tables on `RootSystem` (flag dimensions, splits of
-D minus a marking, relabelled cycles, Weyl-group orders) and the chain-scan
-memo on its weight orbit: the values read through them match oracles that
+D minus a marking, relabelled cycles, Weyl-group orders) and its memo of
+scanned chain sizes: the values read through them match oracles that
 share no code with them, or cold runs, when warm; bad nodes and guard
 limits still raise; a table never hands out a mutable value; and whole
 sweeps print the recorded bytes, however warm the tables are."""
 
-import gc
 import hashlib
 import io
 import json
 import sys
-import weakref
 from contextlib import redirect_stdout
 from itertools import combinations
 from pathlib import Path
@@ -287,7 +285,7 @@ def test_sweep_bytes_do_not_depend_on_table_state():
     assert run_cli(argv) == cold
 
 
-# -- the chain-scan memo on the weight orbit -----------------------------------
+# -- the memo of scanned chain sizes -------------------------------------------
 
 @pytest.mark.parametrize("spec,distinct", [("F4", 150), ("D5", 564), ("A2xG2", 120)])
 def test_warm_scans_equal_cold_ones(spec, distinct):
@@ -306,9 +304,8 @@ def test_warm_scans_equal_cold_ones(spec, distinct):
     for i, pair in enumerate(pairs):
         warm.append(scan_fields(chain_analysis(pair)))
         if i + 1 == len(pairs) or pairs[i + 1].psi_p != pair.psi_p:
-            # the memo entries on the orbits of this psi_p, one orbit per R
-            entries += sum(len(orbit.scans) for orbit in generate_roots(d)._orbits.values()
-                           if orbit.marking == pair.psi_p)
+            # the memo entries of this psi_p, the last one scanned
+            entries += sum(key[0] == pair.psi_p for key in generate_roots(d).scans)
     assert warm == cold
     # one scan per distinct (psi_p, red psi_q) whose level 1 is short of
     # |W_R|, R = psi_p & psi_q; the other levels are closed form, and each
@@ -351,20 +348,17 @@ def test_guard_holds_on_a_warm_memo():
 
 
 def test_memo_goes_with_the_orbit_slot():
-    # the slot holds the orbits of one psi_p, one per R = psi_p & psi_q; every
-    # pair here has R empty, so each scan lands on that psi_p's full orbit
+    # the memo holds the scanned sizes of one psi_p, as tuples of ints, keyed
+    # (psi_p, psi_q, max_k); a scan of another psi_p drops them
     d = parse_diagram_spec("F4")
     generate_roots.cache_clear()
     rs = generate_roots(d)
     chain_analysis(ParabolicPair(d, [1], [2]))
     chain_analysis(ParabolicPair(d, [1], [3]))
-    orbit = rs.weight_orbit([1])
-    assert set(orbit.scans) == {((2,), 32), ((3,), 32)}
-    gone = weakref.ref(orbit)
-    del orbit
+    assert set(rs.scans) == {((1,), (2,), 32), ((1,), (3,), 32)}
+    assert all(type(sizes) is tuple and all(type(x) is int for x in sizes)
+               for sizes in rs.scans.values())
     chain_analysis(ParabolicPair(d, [4], [2]))
-    gc.collect()
-    assert gone() is None
-    assert set(rs.weight_orbit([4]).scans) == {((2,), 32)}
+    assert set(rs.scans) == {((4,), (2,), 32)}
     chain_analysis(ParabolicPair(d, [1], [3]))
-    assert set(rs.weight_orbit([1]).scans) == {((3,), 32)}
+    assert set(rs.scans) == {((1,), (3,), 32)}

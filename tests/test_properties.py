@@ -9,7 +9,6 @@ import random
 from datetime import timedelta
 from itertools import chain, combinations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,8 +21,7 @@ from parhom import (Marking, ParabolicPair, chain_analysis, cycle_descriptor, di
                     weyl_order)
 from reduction_oracle import brute_force_reduction
 from test_connectivity import full_orbit_sizes, permutation_chain_scan, scan_fields
-from weyl_oracle import (classical_weyl_order, levi_generators, lexsort_orbit_neighbours,
-                         weyl_order_estimate)
+from weyl_oracle import classical_weyl_order, levi_generators, weyl_order_estimate
 
 # every factor of rank <= 8, in the ranks the parser accepts
 FACTORS = ([f"A{r}" for r in range(1, 9)] + [f"B{r}" for r in range(2, 9)]
@@ -209,15 +207,6 @@ def small_orbits(draw, max_points=10_000):
     while weyl_order(d) // weyl_order(d, marking) > max_points:
         marking.pop()
     return d, Marking(marking)
-
-
-@PROPERTY_SETTINGS
-@given(small_orbits())
-def test_orbit_table_equals_the_lexsort_build(case):
-    d, marking = case
-    rs = generate_roots(d)
-    assert np.array_equal(rs.weight_orbit(marking).neighbours,
-                          lexsort_orbit_neighbours(rs, marking))
 
 
 # the Levi orbit W_R/W_P and the closed-form levels against every level

@@ -264,12 +264,12 @@ class TestCliAnalyze:
         assert "consistency" in capsys.readouterr().err
 
     def test_short_orbit_exit4(self, capsys, monkeypatch):
-        # with the label bound M too low, the keys of distinct label rows
-        # alias and the orbit comes out short: the preallocated table must
-        # not hide that from the size check
+        # with the label bound M too low, the keys of distinct points alias
+        # and the scan reaches too few points: the arrays sized |W_R/W_P|
+        # must not hide that from the size check
         rs = generate_roots(parse_diagram_spec("E6"))
         monkeypatch.setattr(rs, "positive_coroots", rs.positive_coroots // 2)
-        monkeypatch.setattr(rs, "_orbits", {})
+        monkeypatch.setattr(rs, "scans", {})  # no size served from the memo
         # psi_p & psi_q is empty, so W_R = W and the orbit is all of W/W_P
         assert main(["analyze", "--type", "E6", "--p", "2,4", "--q", "1",
                      "--chain-length", "--json"]) == 4
@@ -278,12 +278,17 @@ class TestCliAnalyze:
         assert found and int(found[1]) < 1440
 
     def test_multi_word_orbit_output_unchanged(self, capsys):
-        # 3**40 > 2**63, so the orbit keys of A40 psi_p = {1} take two words;
-        # the digest is the output of the column-lexsort build they replaced
-        assert main(["analyze", "--type", "A40", "--p", "1", "--q", "2",
-                     "--chain-length", "--json"]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "d727585980daec86b3bc0a6a4b8d0539d1329477753af162b55830c001479c78")
+        # the keys of A40 take two words, as (2M+1)**40 > 2**62 for any M;
+        # psi_p = {1} has every level in closed form, and {1, 2} vs {3} is
+        # scanned.  The digests are the outputs of the table builds the scan
+        # replaced: the column lexsort, and the packed keys
+        for p, q, digest in [
+            ("1", "2", "d727585980daec86b3bc0a6a4b8d0539d1329477753af162b55830c001479c78"),
+            ("1,2", "3", "c3e7e12e361529a28c282830ffeaa9c832714bbca7e1c72e911a29f6946d03d2"),
+        ]:
+            assert main(["analyze", "--type", "A40", "--p", p, "--q", q,
+                         "--chain-length", "--json"]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest, p
 
     def test_empty_marking_spelled_dash(self, capsys):
         # the point G/P of psi_p = - is already covered at level 0, but

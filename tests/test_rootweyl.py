@@ -7,16 +7,17 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from parhom import (DiagramError, GuardLimitError, Marking, cartan_matrix,
-                    generate_roots, induced_components, diagram_involution_table,
-                    parse_diagram_spec, tree_path, weyl_order)
+import parhom.connectivity as connectivity
+from parhom import (ConsistencyError, DiagramError, GuardLimitError, ParabolicPair,
+                    cartan_matrix, chain_analysis, generate_roots, induced_components,
+                    diagram_involution_table, parse_diagram_spec, tree_path, weyl_order)
 from parhom import rootweyl
-from parhom.rootweyl import WeightOrbit, reflection_closure
+from test_connectivity import full_orbit_sizes
 from test_dynkin import node_factor
 from weyl_oracle import (WeylElement, WeylSubset, classical_weyl_order,
                          dense_positive_root_closure, enumerate_weyl, involution_via_w0, levi_generators,
                          lexsort_orbit_neighbours, longest_element,
-                         min_coset_length, perm_tables, product_set,
+                         min_coset_length, orbit_closure, perm_tables, product_set,
                          weyl_order_estimate)
 
 POS_COUNT = {
@@ -284,15 +285,15 @@ class TestMinCosetLength:
             assert (got == w.length) == is_minimal
 
 
-def orbit_depths(orbit):
+def orbit_depths(nb):
     """Oracle: each orbit point's distance from point 0 (lambda) along the
     neighbour table, by breadth-first search."""
-    depth = np.full(len(orbit), -1)
+    depth = np.full(len(nb), -1)
     depth[0] = 0
     queue = deque([0])
     while queue:
         x = queue.popleft()
-        for y in orbit.neighbours[x].tolist():
+        for y in nb[x].tolist():
             if depth[y] < 0:
                 depth[y] = depth[x] + 1
                 queue.append(y)
@@ -300,6 +301,9 @@ def orbit_depths(orbit):
 
 
 class TestWeightOrbit:
+    """The oracle's orbit table (`lexsort_orbit_neighbours`), and the
+    library's scan, which keeps no table, against it."""
+
     @pytest.mark.parametrize("spec,marking", [("A3", (2,)), ("A3", (1, 3)), ("B3", (1,)),
                                               ("B3", (1, 2, 3)), ("G2", (1,)), ("F4", (4,)),
                                               ("A2xG2", (1, 4)), ("A2", ())])
@@ -311,68 +315,81 @@ class TestWeightOrbit:
         stab = len(enumerate_weyl(rs, levi))
         full = enumerate_weyl(rs, range(1, n + 1))
         lengths = np.array([min_coset_length(w, levi) for w in full.elements()])
-        orbit = rs.weight_orbit(marking)
-        assert len(orbit) * stab == len(full)
-        depth = orbit_depths(orbit)
+        nb = lexsort_orbit_neighbours(rs, marking)
+        assert len(nb) * stab == len(full)
+        depth = orbit_depths(nb)
         assert np.array_equal(np.bincount(depth), np.bincount(lengths) // stab)
         assert (np.diff(depth) >= 0).all()
 
     @pytest.mark.parametrize("spec,marking", [("B3", (2,)), ("E6", (1, 3)), ("D5", (5,))])
     def test_neighbours_are_involutions_moving_one_level(self, spec, marking):
-        orbit = rs_for(spec).weight_orbit(marking)
-        nb = orbit.neighbours
-        points = np.arange(len(orbit))[:, None]
+        nb = lexsort_orbit_neighbours(rs_for(spec), marking)
+        points = np.arange(len(nb))[:, None]
         assert (nb[nb, np.arange(nb.shape[1])] == points).all()
-        depth = orbit_depths(orbit)
+        depth = orbit_depths(nb)
         step = np.abs(depth[nb] - depth[points])
         assert ((step == 1) | (nb == points)).all()
 
-    def test_last_orbit_kept(self):
-        rs = rs_for("B3")
-        first = rs.weight_orbit([1])
-        assert rs.weight_orbit(Marking([1])) is first
-        second = rs.weight_orbit([2])
-        assert second is not first
-        assert rs.weight_orbit([1]) is not first
-
     @pytest.mark.parametrize("marking", [[0], [9], [1, 4]])
     def test_bad_nodes_raise_before_the_orbit_is_built(self, marking):
-        # unchecked, node 0 would wrap to the last label and node 9 leave the row
-        rs = rs_for("A3")
-        rs.weight_orbit([3])
+        # unchecked, node 0 would wrap to the last label and node 9 leave the
+        # key; the pair refuses them, and the scan memo keeps the last psi_p's
+        d = parse_diagram_spec("A3")
+        chain_analysis(ParabolicPair(d, [2], [1]))
+        memo = dict(generate_roots(d).scans)
+        assert list(memo) == [((2,), (1,), 32)]
         with pytest.raises(DiagramError, match="out of range"):
-            rs.weight_orbit(marking)
-        assert rs.weight_orbit([3]).marking == (3,)
+            chain_analysis(ParabolicPair(d, marking, [1]))
+        assert generate_roots(d).scans == memo
 
     @pytest.mark.parametrize("spec", ["E6", "F4", "D5", "B5", "A2xG2"])
     def test_table_equals_the_lexsort_build_on_every_marking(self, spec):
-        rs = rs_for(spec)
-        for k in range(rs.diagram.n + 1):
-            for marking in combinations(range(1, rs.diagram.n + 1), k):
-                orbit = rs.weight_orbit(marking)
-                assert len(orbit) == len(orbit.neighbours), marking
-                assert np.array_equal(orbit.neighbours,
-                                      lexsort_orbit_neighbours(rs, marking)), marking
+        # psi_q = the nodes outside psi_p makes R = psi_p & psi_q empty, so the
+        # scan's points are the whole orbit W/W_P: its sizes against those
+        # scanned on the lexsort build's table
+        d = parse_diagram_spec(spec)
+        nodes = range(1, d.n + 1)
+        for k in range(d.n + 1):
+            for marking in combinations(nodes, k):
+                pair = ParabolicPair(d, marking, [v for v in nodes if v not in marking])
+                assert chain_analysis(pair).reachable_sizes == full_orbit_sizes(pair), marking
 
     @pytest.mark.parametrize("spec", ["A40", "D40"])
-    def test_multi_word_keys_equal_the_lexsort_build(self, spec):
-        # M = 1 for psi = {1}, and 3**40 > 2**63: the keys take two words
+    def test_multi_word_keys_equal_the_lexsort_build(self, spec, monkeypatch):
+        # M = 2 for A40 psi_p = {1, 2} (its {1} is closed form), M = 1 for D40
+        # psi_p = {1}, and (2M+1)**40 > 2**62: the keys take two words
         rs = rs_for(spec)
-        assert rs.positive_coroots[:, 0].max() == 1 and 3 ** 40 > 1 << 63
-        orbit = rs.weight_orbit([1])
-        assert orbit.neighbours.dtype == np.intp
-        assert np.array_equal(orbit.neighbours, lexsort_orbit_neighbours(rs, [1]))
+        psi_p = {"A40": [1, 2], "D40": [1]}[spec]
+        bound = int(rs.positive_coroots[:, [v - 1 for v in psi_p]].sum(axis=1).max())
+        assert (2 * bound + 1) ** 40 > 1 << 62 > (2 * bound + 1) ** 20
+        words = set()
+
+        def spy(m, keys, step):
+            words.add(keys.shape[1])
+            return rootweyl.reflection_closure(m, keys, step)
+
+        monkeypatch.setattr(connectivity, "reflection_closure", spy)
+        monkeypatch.setattr(rs, "scans", {})
+        for q in ([3], [20], [3, 40]):
+            pair = ParabolicPair(rs.diagram, psi_p, q)
+            for max_k in (32, 1):
+                assert chain_analysis(pair, max_k).reachable_sizes == \
+                    full_orbit_sizes(pair, max_k), (q, max_k)
+        assert words == {2}
 
     def test_build_stops_at_the_end_of_the_table(self, monkeypatch):
-        # a table sized 20 for the 27 points of E6 psi = {1}: the build writes
-        # no row past it, and its count does not match the rows
-        monkeypatch.setattr(rootweyl, "weyl_order", lambda d, psi=(): 1 if psi else 20)
-        orbit = WeightOrbit(rs_for("E6"), Marking([1]))
-        assert orbit.neighbours.shape == (20, 6)
-        assert len(orbit) > 20
+        # |W_R/W_P| taken as 20 for the 27 points of E6 psi_p = {1}: the scan
+        # writes no key past its 20, and says how many points it reached
+        pair = ParabolicPair(parse_diagram_spec("E6"), [1], [2])
+        monkeypatch.setattr(pair.roots, "scans", {})
+        monkeypatch.setattr(connectivity, "weyl_order", lambda d, psi=(): 1 if psi else 20)
+        with pytest.raises(ConsistencyError, match=r"orbit has (\d+) points, not "
+                                                   r"\|W_R/W_P\| = 20") as exc:
+            chain_analysis(pair)
+        assert 20 < int(exc.value.args[0].split()[2]) <= 27
 
 
-def neighbour_bfs(orbit, gens, seeds):
+def neighbour_bfs(nb, gens, seeds):
     """Oracle: the orbit points reached from `seeds` along the neighbour
     columns `gens`, seeds excluded."""
     seen = set(seeds)
@@ -380,20 +397,20 @@ def neighbour_bfs(orbit, gens, seeds):
     while queue:
         x = queue.popleft()
         for g in gens:
-            y = int(orbit.neighbours[x, g])
+            y = int(nb[x, g])
             if y not in seen:
                 seen.add(y)
                 queue.append(y)
     return seen - set(seeds)
 
 
-def close_from(orbit, gens, seeds):
-    """(the indices `reflection_closure` adds, the mask it leaves) when the
-    mask starts as just the seeds."""
-    mask = np.zeros(len(orbit), dtype=bool)
+def close_from(nb, gens, seeds):
+    """(the indices `orbit_closure` adds, the mask it leaves) when the mask
+    starts as just the seeds."""
+    mask = np.zeros(len(nb), dtype=bool)
     seeds = np.array(sorted(set(seeds)), dtype=np.intp)
     mask[seeds] = True
-    added = reflection_closure(mask, orbit.neighbours, np.array(gens, dtype=np.intp), seeds)
+    added = orbit_closure(mask, nb, np.array(gens, dtype=np.intp), seeds)
     return added, mask
 
 
@@ -403,31 +420,33 @@ ORBIT_MARKINGS = [("A4", (2,)), ("A4", (1, 3)), ("B3", (1,)), ("B3", (3,)),
 
 
 class TestOrbitReflectionClosure:
+    """The oracle's mask closure on its orbit table."""
+
     @pytest.mark.parametrize("spec,marking", ORBIT_MARKINGS)
     def test_all_generators_add_every_other_point_once(self, spec, marking):
-        orbit = rs_for(spec).weight_orbit(marking)
-        added, mask = close_from(orbit, range(orbit.neighbours.shape[1]), [0])
-        assert sorted(added.tolist()) == list(range(1, len(orbit)))
+        nb = lexsort_orbit_neighbours(rs_for(spec), marking)
+        added, mask = close_from(nb, range(nb.shape[1]), [0])
+        assert sorted(added.tolist()) == list(range(1, len(nb)))
         assert mask.all()
 
     @pytest.mark.parametrize("spec,marking", ORBIT_MARKINGS)
     def test_levi_generators_fix_lambda(self, spec, marking):
         rs = rs_for(spec)
-        orbit = rs.weight_orbit(marking)
+        nb = lexsort_orbit_neighbours(rs, marking)
         levi = [g - 1 for g in levi_generators(rs.diagram, marking)]
-        added, mask = close_from(orbit, levi, [0])
+        added, mask = close_from(nb, levi, [0])
         assert len(added) == 0
-        assert mask.tolist() == [True] + [False] * (len(orbit) - 1)
+        assert mask.tolist() == [True] + [False] * (len(nb) - 1)
 
     @pytest.mark.parametrize("spec,marking", ORBIT_MARKINGS)
     def test_every_generator_set_matches_bfs(self, spec, marking):
-        orbit = rs_for(spec).weight_orbit(marking)
-        n = orbit.neighbours.shape[1]
-        for seeds in ([0], [len(orbit) // 2, len(orbit) - 1]):
+        nb = lexsort_orbit_neighbours(rs_for(spec), marking)
+        n = nb.shape[1]
+        for seeds in ([0], [len(nb) // 2, len(nb) - 1]):
             for k in range(n + 1):
                 for gens in combinations(range(n), k):
-                    added, mask = close_from(orbit, gens, seeds)
-                    expected = neighbour_bfs(orbit, gens, seeds)
+                    added, mask = close_from(nb, gens, seeds)
+                    expected = neighbour_bfs(nb, gens, seeds)
                     assert len(added) == len(expected)
                     assert set(added.tolist()) == expected
                     assert set(np.nonzero(mask)[0].tolist()) == expected | set(seeds)

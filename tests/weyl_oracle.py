@@ -14,6 +14,10 @@ Its guard sizes a subgroup from the closed-form order of each family
 code with the library's height product `parhom.rootweyl.weyl_order`.
 `dense_positive_root_closure` pairs each root with all n Cartan columns,
 where the library's closure reads only the nonzero entries.
+`orbit_scan_sizes` counts chain levels as masks over the neighbour table
+of the whole orbit W/W_P (`lexsort_orbit_neighbours`), closed level by
+level under the Q and then the P reflections (`orbit_closure`), where the
+library walks a reduced word on keys of the points it has reached.
 """
 
 from __future__ import annotations
@@ -374,10 +378,10 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lexsort_orbit_neighbours(rs: RootSystem, marking) -> np.ndarray:
-    """The neighbour table of `parhom.rootweyl.WeightOrbit`, built as the
-    library built it before packed keys: each level's label rows
-    deduplicated by a lexsort over their columns, one block of rows per
-    level, concatenated at the end."""
+    """The neighbour table of the orbit W/W_P: row x holds, per node i, the
+    index of s_i*x.  Points are listed level by level from lambda_P, each
+    level the distinct images of the last under the moves with m_i > 0,
+    its label rows deduplicated by a lexsort over their columns."""
     n = rs.diagram.n
     level = np.zeros((1, n), dtype=np.int64)
     level[0, [v - 1 for v in Marking(marking).validate_on(rs.diagram)]] = 1
@@ -399,3 +403,42 @@ def lexsort_orbit_neighbours(rs: RootSystem, marking) -> np.ndarray:
         blocks.append(block)
         start = nxt
     return np.concatenate(blocks)
+
+
+def orbit_closure(mask: np.ndarray, neighbours: np.ndarray, gens: np.ndarray,
+                  seeds: np.ndarray) -> np.ndarray:
+    """Add to `mask` every orbit point reachable from `seeds` by the
+    reflections in `gens` (neighbour columns); return the indices added.
+    Points of the mask outside the seeds must already be closed under
+    those reflections."""
+    added = [seeds[:0]]
+    frontier = seeds
+    while len(frontier):
+        reached = neighbours[frontier[:, None], gens].ravel()
+        reached = np.sort(reached[~mask[reached]])
+        first = np.ones(len(reached), dtype=bool)
+        np.not_equal(reached[1:], reached[:-1], out=first[1:])
+        frontier = reached[first]
+        mask[frontier] = True
+        added.append(frontier)
+    return np.concatenate(added)
+
+
+def orbit_scan_sizes(neighbours: np.ndarray, p_gens, q_gens, stabilizer: int,
+                     levels: int) -> list[int]:
+    """[|S_0|, ..., |S_levels|] on the orbit W/W_P of a neighbour table:
+    S_j, a union of cosets w*W_P, as a mask over the orbit points, so
+    |S_j| = popcount * |W_P|.  `p_gens` and `q_gens` are the columns of
+    the unmarked nodes."""
+    p_cols, q_cols = np.array(p_gens, np.intp), np.array(q_gens, np.intp)
+    # S_0 = W_P is the single point lambda_P, fixed by every P move
+    mask = np.zeros(len(neighbours), dtype=bool)
+    mask[0] = True
+    fresh = np.zeros(1, dtype=np.intp)
+    counts = [1]
+    for _ in range(levels):
+        # the mask is P-closed, and Q-closed apart from `fresh`
+        from_q = orbit_closure(mask, neighbours, q_cols, fresh)
+        fresh = np.concatenate([from_q, orbit_closure(mask, neighbours, p_cols, from_q)])
+        counts.append(counts[-1] + len(fresh))
+    return [count * stabilizer for count in counts]
