@@ -38,31 +38,31 @@ def is_separating(pair: ParabolicPair, chi) -> bool:
 class ReductionResult:
     reduced_marking: Marking
     is_already_reduced: bool
-    witness_starts: dict[int, int]
+    witness_starts: tuple[tuple[int, int], ...]  # (q, p): a tuple, as context rows share it
 
 
 def reduction(pair: ParabolicPair) -> ReductionResult:
     """The smallest subset of psi_q separating psi_p from psi_q: the q in
     psi_p and the q next to one of `pair.cycle_components`.  The witness for
-    q is its path from `witness_starts[q]`, the smallest p that is q or in a
-    component next to q; `report_to_dict` draws it, as only JSON prints it.
+    q is its path from p, (q, p) in `witness_starts`: the smallest p that is
+    q or in a component next to q; only JSON prints it (`report_to_dict`).
 
     >>> from parhom import parse_diagram_spec
     >>> res = reduction(ParabolicPair(parse_diagram_spec("A4"), [2], [1, 3, 4]))
     >>> res.reduced_marking, res.witness_starts
-    ((1, 3), {1: 2, 3: 2})
+    ((1, 3), ((1, 2), (3, 2)))
     """
     d = pair.diagram
     psi_p = set(pair.psi_p)
     sources = [(min(psi_p.intersection(comp)), set(comp)) for comp in pair.cycle_components]
-    witness_starts = {}
+    witness_starts = []
     for q in pair.psi_q:
         starts = ([p for p, comp in sources if not comp.isdisjoint(d.adjacency[q])]
                   + [q] * (q in psi_p))
         if starts:
-            witness_starts[q] = min(starts)
-    reduced = Marking(witness_starts)
-    return ReductionResult(reduced, reduced == pair.psi_q, witness_starts)
+            witness_starts.append((q, min(starts)))
+    reduced = Marking(q for q, _ in witness_starts)
+    return ReductionResult(reduced, reduced == pair.psi_q, tuple(witness_starts))
 
 
 def is_cycle_connected(pair: ParabolicPair) -> bool:
@@ -71,20 +71,20 @@ def is_cycle_connected(pair: ParabolicPair) -> bool:
     return not pair.intersection_marking
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainAnalysis:
     """Reachability of chain images in the Weyl model.
 
     Level sets S_0 = W_P, S_j = W_P * (W_Q * S_{j-1}), in the Levi
     convention above.  `connected` is None only when the scan was truncated
-    by max_k before stabilizing (`complete` False).  `reachable_sizes` is an
-    empty list when sizes were not counted.
+    by max_k before stabilizing (`complete` False).  `reachable_sizes` is
+    empty when sizes were not counted.  Frozen: a context's rows share it.
     """
 
     connected: bool | None
     minimal_n: int | None
-    reachable_sizes: list[int]
-    reachable_dims: list[int]
+    reachable_sizes: tuple[int, ...]
+    reachable_dims: tuple[int, ...]
     complete: bool
 
 
@@ -103,13 +103,12 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
     once per reduced pair (`report.PsiPContext`)."""
     if max_k < 1:
         raise ValueError("max_k must be positive")
-    d = pair.diagram
-    stabilizer = weyl_order(d, pair.psi_p)
-    orbit_size = weyl_order(d) // stabilizer
+    d, rs = pair.diagram, pair.roots
+    stabilizer = weyl_order(rs, pair.psi_p)
+    orbit_size = weyl_order(rs) // stabilizer
     limit = resolve_weyl_limit(weyl_limit)
     if orbit_size > limit:
         raise GuardLimitError(orbit_size, limit, "orbit size |W/W_P|")
-    rs = pair.roots
     # the Levi generators as columns: the unmarked nodes
     p_gens, q_gens = ([i for i in range(d.n) if i + 1 not in psi]
                       for psi in (pair.psi_p, pair.psi_q))
@@ -120,7 +119,7 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
     sizes = ()
     if with_sizes:
         levi = pair.intersection_marking
-        levi_order = weyl_order(d, levi)
+        levi_order = weyl_order(rs, levi)
         # the levels below |Phi+_R|, a prefix, as the lengths rise until they stop there
         scanned = sum(x < rs.num_positive - dim_flag(rs, levi) for x in lengths[1:])
         sizes = (stabilizer,)
@@ -136,8 +135,8 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
     result = ChainAnalysis(
         connected=connected,
         minimal_n=len(lengths) - 1 if top else None,
-        reachable_sizes=list(sizes),
-        reachable_dims=[length - lengths[0] for length in lengths],
+        reachable_sizes=sizes,
+        reachable_dims=tuple(length - lengths[0] for length in lengths),
         complete=complete,
     )
     if complete:

@@ -56,12 +56,11 @@ def levi_split(rs: RootSystem, psi: Marking) -> tuple[tuple[int, ...], ...]:
     """Components of D minus the marking, as `induced_components` lists
     them; memoised per marking on the diagram's root system `rs`."""
     d = rs.diagram
-    table = rs.levi_splits
-    split = table.get(psi)
+    split = rs.levi_splits.get(psi)
     if split is None:
         psi.validate_on(d)
         free = [v for v in range(1, d.n + 1) if v not in psi]
-        split = table[psi] = tuple(map(tuple, induced_components(d, free)))
+        split = rs.levi_splits[psi] = tuple(map(tuple, induced_components(d, free)))
     return split
 
 
@@ -86,10 +85,10 @@ def dim_flag(rs: RootSystem, psi) -> int:
 class CycleDescriptor:
     """Type and dimension of the cycle cut out by the second marking.
 
-    `type_string`/`marking` describe the cycle in its own canonical
-    numbering (empty string for a point); they keep only the components of
-    the unmarked-by-q subdiagram that actually meet the surviving marks,
-    since the rest collapse to points.
+    `type_string`, `marking` and `roots`, the root system of that type, give
+    the cycle in its own canonical numbering ("" and None for a point);
+    they keep only the components of the unmarked-by-q subdiagram that
+    actually meet the surviving marks, since the rest collapse to points.
     """
 
     type_string: str
@@ -97,14 +96,13 @@ class CycleDescriptor:
     dim: int
     is_point: bool
     is_whole_space: bool
-    # the diagram of the cycle type's own root system; None for a point
-    diagram: DynkinDiagram | None
+    roots: RootSystem | None
 
     def dim_recomputed(self) -> int:
-        """Same dimension counted inside the cycle's own diagram."""
+        """Same dimension counted in the cycle's own root system."""
         if not self.type_string:
             return 0
-        return dim_flag(generate_roots(self.diagram), self.marking)
+        return dim_flag(self.roots, self.marking)
 
 
 def cycle_descriptor(pair: ParabolicPair) -> CycleDescriptor:
@@ -114,13 +112,11 @@ def cycle_descriptor(pair: ParabolicPair) -> CycleDescriptor:
     dim = dim_flag(rs, pair.union_marking) - dim_flag(rs, pair.psi_q)
     surviving = pair.psi_p.minus(pair.psi_q)
     nodes = sum(pair.cycle_components, ())
-    table = rs.cycles
-    cycle = table.get((nodes, surviving))
+    cycle = rs.cycles.get((nodes, surviving))
     if cycle is None:
         sub, mapping = relabel_to_standard(pair.diagram, nodes, marking=surviving)
-        # keep the cycle's root system's own diagram: one object per type
-        cycle = table[nodes, surviving] = (
-            (sub.type_string, Marking(mapping[v] for v in surviving), generate_roots(sub).diagram)
+        cycle = rs.cycles[nodes, surviving] = (
+            (sub.type_string, Marking(mapping[v] for v in surviving), generate_roots(sub))
             if sub is not None else ("", Marking(), None))
     return CycleDescriptor(
         type_string=cycle[0],
@@ -128,6 +124,6 @@ def cycle_descriptor(pair: ParabolicPair) -> CycleDescriptor:
         dim=dim,
         is_point=not surviving,
         is_whole_space=not pair.psi_q,
-        diagram=cycle[2],
+        roots=cycle[2],
     )
 

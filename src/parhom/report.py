@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .connectivity import (BoundaryClass, ChainAnalysis, ConsistencyError,
-                           ExceptionFlags, ReductionResult, _where, boundary_codim_class,
-                           chain_analysis, exception_flags, is_cycle_connected,
-                           is_separating, reduction)
+from .connectivity import (ChainAnalysis, ConsistencyError, ExceptionFlags,
+                           ReductionResult, _where, boundary_codim_class, chain_analysis,
+                           exception_flags, is_cycle_connected, is_separating, reduction)
 from .dynkin import DynkinDiagram, Marking, tree_path
 from .geometry import CycleDescriptor, ParabolicPair, cycle_descriptor, dim_flag
 from .rootweyl import generate_roots
@@ -32,9 +31,9 @@ _LINEARITY_NOTE = ("cycle linearity not computed; the tangency exception "
 
 class PsiPContext:
     """What the reports of one psi_p share: the root system, the validated
-    psi_p, dim G/P, its boundary class and the chain options; and per red
-    psi_q, on which alone they depend, the reduced pair (psi_p, red psi_q)
-    with its reduction and cycle dimension, and its `ChainAnalysis`."""
+    psi_p, dim G/P, its boundary class and the chain options; one row per
+    psi_q; and per red psi_q, on which alone the chains depend, its
+    `ChainAnalysis`."""
 
     def __init__(self, diagram: DynkinDiagram, psi_p, with_chains: bool = False,
                  max_k: int = 32, weyl_limit=None, with_sizes: bool = True):
@@ -44,15 +43,20 @@ class PsiPContext:
         self.boundary = boundary_codim_class(diagram, self.psi_p)
         self.with_chains, self.max_k = with_chains, max_k
         self.weyl_limit, self.with_sizes = weyl_limit, with_sizes
-        self.reduced: dict[Marking, tuple[ParabolicPair, Marking, int]] = {}
+        self.rows: dict[Marking, tuple[ParabolicPair, ReductionResult, CycleDescriptor]] = {}
         self.chains: dict[Marking, ChainAnalysis] = {}
 
-    def reduced_pair(self, red: Marking) -> tuple[ParabolicPair, Marking, int]:
-        entry = self.reduced.get(red)
+    def row(self, psi_q: Marking) -> tuple[ParabolicPair, ReductionResult, CycleDescriptor]:
+        """(pair, reduction, cycle) of (psi_p, psi_q), psi_q validated; made once.
+
+        >>> from parhom import parse_diagram_spec
+        >>> PsiPContext(parse_diagram_spec("A4"), [2]).row(Marking([1, 3, 4]))[1].reduced_marking
+        (1, 3)
+        """
+        entry = self.rows.get(psi_q)
         if entry is None:
-            pair = ParabolicPair.of_valid(self.roots, self.psi_p, red)
-            entry = self.reduced[red] = (
-                pair, reduction(pair).reduced_marking, cycle_descriptor(pair).dim)
+            pair = ParabolicPair.of_valid(self.roots, self.psi_p, psi_q)
+            entry = self.rows[psi_q] = (pair, reduction(pair), cycle_descriptor(pair))
         return entry
 
     def chains_of(self, red: Marking) -> ChainAnalysis:
@@ -60,21 +64,17 @@ class PsiPContext:
         chains = self.chains.get(red)
         if chains is None:
             chains = self.chains[red] = chain_analysis(
-                self.reduced_pair(red)[0], self.max_k, self.weyl_limit, self.with_sizes)
+                self.row(red)[0], self.max_k, self.weyl_limit, self.with_sizes)
         return chains
 
 
 @dataclass
 class AnalysisReport:
     pair: ParabolicPair
-    dim_gp: int
     dim_gq: int
     dim_gpq: int
     cycle: CycleDescriptor
     red: ReductionResult
-    quotient: Marking
-    criterion_connected: bool
-    boundary: BoundaryClass
     flags: ExceptionFlags
     context: PsiPContext
     chains: ChainAnalysis | None = None
@@ -82,18 +82,14 @@ class AnalysisReport:
 
     @property
     def dual_dim(self) -> int:
-        return self.dim_gpq - self.dim_gp
+        return self.dim_gpq - self.context.dim_gp
 
 
 def build_report(ctx: PsiPContext, psi_q) -> AnalysisReport:
     """The checked report on (ctx.psi_p, psi_q); rows of one red psi_q share
     the context's `ChainAnalysis`."""
     rs = ctx.roots
-    pair = ParabolicPair.of_valid(rs, ctx.psi_p, Marking(psi_q).validate_on(rs.diagram))
-    red = reduction(pair)
-    cycle = cycle_descriptor(pair)
-    if red.is_already_reduced:  # the pair is its own reduced pair
-        ctx.reduced.setdefault(pair.psi_q, (pair, red.reduced_marking, cycle.dim))
+    pair, red, cycle = ctx.row(Marking(psi_q).validate_on(rs.diagram))
     chains = ctx.chains_of(red.reduced_marking) if ctx.with_chains else None
     flags = exception_flags(pair)
     warnings = [_LINEARITY_NOTE, *flags.notes]
@@ -101,14 +97,10 @@ def build_report(ctx: PsiPContext, psi_q) -> AnalysisReport:
         warnings.append(f"chain analysis truncated at max_k={ctx.max_k} before stabilization")
     report = AnalysisReport(
         pair=pair,
-        dim_gp=ctx.dim_gp,
         dim_gq=dim_flag(rs, pair.psi_q),
         dim_gpq=dim_flag(rs, pair.union_marking),
         cycle=cycle,
         red=red,
-        quotient=pair.intersection_marking,
-        criterion_connected=is_cycle_connected(pair),
-        boundary=ctx.boundary,
         flags=flags,
         context=ctx,
         chains=chains,
@@ -120,16 +112,16 @@ def build_report(ctx: PsiPContext, psi_q) -> AnalysisReport:
 
 def verify_report(r: AnalysisReport) -> None:
     """Cross-field consistency checks; raises ConsistencyError on failure.
-    The reduced pair is read off `r.context`; containment and separation
-    give it the row's psi_p & psi_q, so what `chain_analysis` checks on it
-    (the criterion, the top cell) holds for the row."""
-    pair = r.pair
+    The reduced pair is the row of red psi_q in `r.context`; containment and
+    separation give it the row's psi_p & psi_q, so what `chain_analysis`
+    checks on it (the criterion, the top cell) holds for the row."""
+    pair, ctx = r.pair, r.context
 
     def expect(ok: bool, what: str):
         if not ok:
             raise ConsistencyError(f"{what} failed for {_where(pair)}")
 
-    expect(r.dim_gp <= r.dim_gpq and r.dim_gq <= r.dim_gpq, "dim monotonicity")
+    expect(ctx.dim_gp <= r.dim_gpq and r.dim_gq <= r.dim_gpq, "dim monotonicity")
     expect(r.cycle.dim == r.dim_gpq - r.dim_gq, "cycle dimension formula")
     expect(r.cycle.dim == r.cycle.dim_recomputed(), "cycle dim internal recomputation")
     expect(r.cycle.is_point == (r.cycle.dim == 0), "point flag")
@@ -137,9 +129,9 @@ def verify_report(r: AnalysisReport) -> None:
     red = r.red.reduced_marking
     expect(red.issubset(pair.psi_q), "reduction containment")
     expect(is_separating(pair, red), "reduction separates")
-    _, red_again, red_dim = r.context.reduced_pair(red)
-    expect(red_again == red, "reduction idempotence")
-    expect(red_dim == r.cycle.dim, "moduli dim consistency")
+    _, red_again, red_cycle = ctx.row(red)
+    expect(red_again.reduced_marking == red, "reduction idempotence")
+    expect(red_cycle.dim == r.cycle.dim, "moduli dim consistency")
 
     c = r.chains
     if c is not None:
@@ -156,7 +148,8 @@ def verify_report(r: AnalysisReport) -> None:
         expect(all(dims[i] <= dims[i + 1] for i in range(len(dims) - 1)),
                "reachable dims non-decreasing")
         # x_j stops at w_0(R), R the quotient: l = |Phi+| - dim G/P_R, from |Phi+| - dim G/P
-        expect(dims[-1] == r.dim_gp - dim_flag(pair.roots, r.quotient), "quotient marking")
+        expect(dims[-1] == ctx.dim_gp - dim_flag(pair.roots, pair.intersection_marking),
+               "quotient marking")
 
 
 def _factor_echo(d: DynkinDiagram) -> list[dict]:
@@ -167,10 +160,10 @@ def _factor_echo(d: DynkinDiagram) -> list[dict]:
 def report_to_dict(r: AnalysisReport) -> dict:
     """Plain-dict form of the report, keys in the documented order."""
     pair = r.pair
-    chains = r.chains
-    connectivity = {"connected": r.criterion_connected, "computed": chains is not None}
+    connectivity = {"connected": is_cycle_connected(pair), "computed": r.chains is not None}
     for key in ("complete", "minimal_n", "reachable_sizes", "reachable_dims"):
-        connectivity[key] = getattr(chains, key, None)
+        value = getattr(r.chains, key, None)
+        connectivity[key] = list(value) if isinstance(value, tuple) else value
     case = r.flags.larger_automorphism_case
     return {
         "schema": SCHEMA_VERSION,
@@ -180,7 +173,7 @@ def report_to_dict(r: AnalysisReport) -> dict:
             "psi_p": list(pair.psi_p),
             "psi_q": list(pair.psi_q),
         },
-        "dims": {"flag_p": r.dim_gp, "flag_q": r.dim_gq, "flag_pq": r.dim_gpq},
+        "dims": {"flag_p": r.context.dim_gp, "flag_q": r.dim_gq, "flag_pq": r.dim_gpq},
         "cycle": {
             "type": r.cycle.type_string,
             "marking": list(r.cycle.marking),
@@ -202,11 +195,11 @@ def report_to_dict(r: AnalysisReport) -> dict:
             "reduced": list(r.red.reduced_marking),
             "already_reduced": r.red.is_already_reduced,
             "witnesses": {str(q): tree_path(pair.diagram, p, q)
-                          for q, p in sorted(r.red.witness_starts.items())},
+                          for q, p in r.red.witness_starts},
         },
-        "quotient_marking": list(r.quotient),
+        "quotient_marking": list(pair.intersection_marking),
         "connectivity": connectivity,
-        "boundary_class": r.boundary.value,
+        "boundary_class": r.context.boundary.value,
         "flags": {
             "mok_zhang_exception": r.flags.mok_zhang_exception,
             "larger_automorphism_case": case.value if case is not None else None,
@@ -227,16 +220,15 @@ def tsv_header() -> str:
 
 
 def render_tsv_row(r: AnalysisReport) -> str:
-    chains = r.chains
-    minimal_n = chains.minimal_n if chains is not None else None
+    minimal_n = getattr(r.chains, "minimal_n", None)
     return "\t".join((
         r.pair.diagram.type_string,
         r.pair.psi_p.render(),
         r.pair.psi_q.render(),
-        str(r.dim_gp),
+        str(r.context.dim_gp),
         str(r.cycle.dim),
         r.red.reduced_marking.render(),
-        "true" if r.criterion_connected else "false",
+        "true" if is_cycle_connected(r.pair) else "false",
         str(minimal_n) if minimal_n is not None else "-",
         "true" if r.flags.mok_zhang_exception else "false",
     ))
@@ -250,7 +242,7 @@ def render_text(r: AnalysisReport) -> str:
         + ", ".join(f"{f} nodes {lo}..{hi}" for f, (lo, hi) in zip(d.factors, d.factor_spans))
         + ")",
         f"psi_p = {pair.psi_p.render()}   psi_q = {pair.psi_q.render()}",
-        f"dim G/P = {r.dim_gp}   dim G/Q = {r.dim_gq}   dim G/(P&Q) = {r.dim_gpq}",
+        f"dim G/P = {r.context.dim_gp}   dim G/Q = {r.dim_gq}   dim G/(P&Q) = {r.dim_gpq}",
         f"cycle: type {r.cycle.type_string or '(point)'}"
         f"  marking {r.cycle.marking.render()}  dim {r.cycle.dim}"
         + ("  [point]" if r.cycle.is_point else "")
@@ -259,16 +251,16 @@ def render_text(r: AnalysisReport) -> str:
         f"tower level increment = {r.cycle.dim + r.dual_dim} (derived)",
         f"reduction of Q mod P: {r.red.reduced_marking.render()}"
         f"  (already reduced: {'yes' if r.red.is_already_reduced else 'no'})",
-        f"quotient marking (P&Q): {r.quotient.render()}"
-        f"   connected: {'yes' if r.criterion_connected else 'no'}",
+        f"quotient marking (P&Q): {pair.intersection_marking.render()}"
+        f"   connected: {'yes' if is_cycle_connected(pair) else 'no'}",
     ]
     if r.chains is not None:
         c = r.chains
         n = str(c.minimal_n) if c.minimal_n is not None else "-"
         lines.append(
-            f"chains: minimal N = {n}  sizes {c.reachable_sizes}  "
-            f"cell dims {c.reachable_dims}" + ("" if c.complete else "  [truncated]"))
-    lines.append(f"boundary class of psi_p: {r.boundary.value}")
+            f"chains: minimal N = {n}  sizes {list(c.reachable_sizes)}  "
+            f"cell dims {list(c.reachable_dims)}" + ("" if c.complete else "  [truncated]"))
+    lines.append(f"boundary class of psi_p: {r.context.boundary.value}")
     case = r.flags.larger_automorphism_case
     lines.append(
         f"exception flags: tangency-table {'yes' if r.flags.mok_zhang_exception else 'no'}"

@@ -127,21 +127,20 @@ def generate_roots(d: DynkinDiagram) -> RootSystem:
     return RootSystem(d)
 
 
-def weyl_order(d: DynkinDiagram, psi=()) -> int:
+def weyl_order(rs: RootSystem, psi=()) -> int:
     """Order of the Weyl group W_P of the Levi of marking psi, so |W| for
     the empty marking.  Macdonald's product over the Levi's positive roots
     (those whose support misses psi) of (height + 1) / height.  Memoised
-    per marking on the diagram's root system.
+    per marking on the root system `rs`.
 
     >>> from parhom import parse_diagram_spec
-    >>> weyl_order(parse_diagram_spec("E8")), weyl_order(parse_diagram_spec("E8"), [4])
-    (696729600, 1440)
+    >>> [weyl_order(generate_roots(parse_diagram_spec("E8")), psi) for psi in ((), [4])]
+    [696729600, 1440]
     """
     psi = Marking(psi)
-    rs = generate_roots(d)
     order = rs.weyl_orders.get(psi)
     if order is None:
-        mask = sum(1 << (v - 1) for v in psi.validate_on(d))
+        mask = sum(1 << (v - 1) for v in psi.validate_on(rs.diagram))
         heights = [sum(root) for root, support in zip(rs.positive_roots, rs.support_masks)
                    if not support & mask]
         order = rs.weyl_orders[psi] = prod(h + 1 for h in heights) // prod(heights)

@@ -49,11 +49,11 @@ def demazure_chain_scan(d, psi_p, psi_q, max_k=32):
     p_gens, q_gens = levi(psi_p), levi(psi_q)
     x = identity()
     base = length = _star(x, p_gens, cartan)
-    dims = [0]
+    dims = (0,)
     for j in range(1, max_k + 1):
         grown = _star(x, q_gens, cartan) + _star(x, p_gens, cartan)
         length += grown
-        dims.append(length - base)
+        dims += (length - base,)
         if length == top:
             return j, dims, True
         if not grown:

@@ -60,7 +60,7 @@ def reduction(pair: ParabolicPair) -> ReductionResult:
                 starts[q] = path[0]
                 break
     reduced = Marking(kept)
-    return ReductionResult(reduced, reduced == pair.psi_q, starts)
+    return ReductionResult(reduced, reduced == pair.psi_q, tuple(starts.items()))
 
 
 def brute_force_reduction(pair: ParabolicPair) -> Marking:

@@ -159,7 +159,7 @@ def test_criterion_6_worked_grassmannian():
         assert dual_cycle_dim(pair) == 1
         assert reduction(pair).reduced_marking == (1,)
         res = chain_analysis(pair)
-        assert res.reachable_dims == [0, 3, 4]
+        assert res.reachable_dims == (0, 3, 4)
         assert res.minimal_n == 2
 
     announce("6 worked-grassmannian", body)

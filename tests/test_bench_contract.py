@@ -15,7 +15,7 @@ import pytest
 
 import parhom.cli
 import parhom.connectivity as connectivity
-from parhom import Marking, ParabolicPair
+from parhom import Marking, ParabolicPair, parse_diagram_spec
 from parhom.rootweyl import generate_roots
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -109,9 +109,10 @@ LOOKUPS_BEFORE_CONTEXT = 56_206
 
 
 def test_sweep_call_budget(monkeypatch):
-    """Exact call counts of one sweep, so a guard, not a speed claim: the
-    reduction runs once per row and once per distinct (psi_p, red psi_q),
-    the root system is looked up a quarter as often as before, and each row
+    """Call bounds of one sweep, so a guard, not a speed claim: the
+    reduction runs at most once per row and once per distinct (psi_p, red
+    psi_q) (`test_sweep_makes_each_row_once` pins once per row), the root
+    system is looked up a quarter as often as before, and each row
     validates one marking, its psi_q."""
     argv = ["enumerate", "--type", "E6"]
     out = io.StringIO()
@@ -145,6 +146,24 @@ def test_sweep_call_budget(monkeypatch):
     # as psi_p and its first `flag_dims` and `levi_splits` entries; per
     # relabelled cycle its node set and its marking's flag dimension
     assert counts["markings"] <= len(rows) + 4 * 2 ** 6 + 2 * calls["dynkin.relabel_to_standard"]
+
+
+@pytest.mark.parametrize("spec,reductions", [("E6", 1), ("B5", 2), ("A3xB3", 2)])
+def test_sweep_makes_each_row_once(spec, reductions):
+    """Exact call counts of a cold TSV sweep: the context of a psi_p makes
+    each row, reduction and cycle once, also when another row needs it as
+    its reduced pair.  On a B or C factor the exception lookup reduces the
+    swapped pair of every row as well.  A cycle's root system is looked up
+    when its type is first met, not on every row."""
+    generate_roots.cache_clear()
+    spans, out = traced(["enumerate", "--type", spec])
+    rows = len(out.splitlines()) - 1
+    n = parse_diagram_spec(spec).n
+    assert rows == (2 ** n - 1) * 2 ** n
+    assert spans.calls["geometry.cycle_descriptor"] == rows
+    assert spans.calls["connectivity.reduction"] == reductions * rows
+    if spec == "E6":
+        assert spans.calls["rootweyl.generate_roots"] <= 600
 
 
 @pytest.mark.parametrize("fmt", ["", " --format json"])

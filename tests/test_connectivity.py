@@ -84,8 +84,8 @@ def permutation_chain_scan(pair, max_k=32):
     is held as the permutation rows of its elements.  Returns
     (connected, minimal_n, reachable_sizes, reachable_dims, complete)."""
     d = pair.diagram
-    order = weyl_order(d)
     rs = generate_roots(d)
+    order = weyl_order(rs)
     p_gens = levi_generators(d, pair.psi_p)
     q_gens = levi_generators(d, pair.psi_q)
     outside = outside_levi_indices(rs, tuple(p_gens))
@@ -117,7 +117,7 @@ def permutation_chain_scan(pair, max_k=32):
             break
         rows = grown
     connected = (len(rows) == order) if complete else None
-    return connected, minimal_n, sizes, dims, complete
+    return connected, minimal_n, tuple(sizes), tuple(dims), complete
 
 
 def scan_fields(res):
@@ -139,8 +139,8 @@ def full_orbit_sizes(pair, max_k=32):
     levels = len(chain_analysis(pair, max_k, with_sizes=False).reachable_dims) - 1
     p_gens, q_gens = ([i for i in range(d.n) if i + 1 not in psi]
                       for psi in (pair.psi_p, pair.psi_q))
-    return orbit_scan_sizes(full_orbit(d, pair.psi_p), p_gens, q_gens,
-                            weyl_order(d, pair.psi_p), levels)
+    return tuple(orbit_scan_sizes(full_orbit(d, pair.psi_p), p_gens, q_gens,
+                                  weyl_order(pair.roots, pair.psi_p), levels))
 
 
 class TestSeparation:
@@ -171,12 +171,12 @@ class TestReduction:
         res = reduction(pair_of("A4", [2, 3], [3]))
         assert res.reduced_marking == (3,)
         assert res.is_already_reduced
-        assert res.witness_starts == {3: 2}  # 2 is next to 3, and smaller
+        assert res.witness_starts == ((3, 2),)  # 2 is next to 3, and smaller
 
     def test_zero_length_path_forces_shared_singleton(self):
         res = reduction(pair_of("A4", [3], [3]))
         assert res.reduced_marking == (3,)
-        assert res.witness_starts == {3: 3}
+        assert res.witness_starts == ((3, 3),)
 
     def test_both_sides_kept(self):
         res = reduction(pair_of("A4", [2], [1, 4]))
@@ -187,7 +187,7 @@ class TestReduction:
         pair = pair_of("D5", [2, 4], [1, 3, 5])
         res = reduction(pair)
         q_set = set(pair.psi_q)
-        for q, p in res.witness_starts.items():
+        for q, p in res.witness_starts:
             path = tree_path(pair.diagram, p, q)
             assert path[0] in pair.psi_p and path[-1] == q
             assert next(v for v in path if v in q_set) == q
@@ -249,8 +249,8 @@ class TestChainAnalysis:
         res = chain_analysis(pair_of("A3", [2], [1]))
         assert res.connected is True
         assert res.minimal_n == 2
-        assert res.reachable_sizes == [4, 20, 24]
-        assert res.reachable_dims == [0, 3, 4]
+        assert res.reachable_sizes == (4, 20, 24)
+        assert res.reachable_dims == (0, 3, 4)
         assert res.complete
 
     def test_point_cycles_stall(self):
@@ -267,7 +267,7 @@ class TestChainAnalysis:
     def test_empty_p_marking(self):
         res = chain_analysis(pair_of("A2", (), [1]))
         assert res.connected is True and res.minimal_n == 1
-        assert res.reachable_dims == [0, 0]
+        assert res.reachable_dims == (0, 0)
 
     def test_truncation_flagged(self):
         res = chain_analysis(pair_of("A4", [2], [3]), max_k=1)
@@ -368,7 +368,8 @@ class TestChainAnalysis:
     def test_line_chain_sizes_count_schubert_fixed_points(self, spec, node, counts):
         d = parse_diagram_spec(spec)
         res = chain_analysis(ParabolicPair(d, Marking([node]), Marking(d.adjacency[node])))
-        assert res.reachable_sizes == [c * weyl_order(d, [node]) for c in counts]
+        order = weyl_order(generate_roots(d), [node])
+        assert res.reachable_sizes == tuple(c * order for c in counts)
 
     def test_sizes_monotone_and_dims_bounded(self):
         for spec in ("A3", "B3", "G2", "A1xB2"):
@@ -428,7 +429,7 @@ class TestChainAnalysis:
     def test_sizes_only_on_request(self):
         pair = pair_of("D5", [1, 5], [3])
         full, bare = chain_analysis(pair), chain_analysis(pair, with_sizes=False)
-        assert full.reachable_sizes == [24, 552, 1728, 1920] and bare.reachable_sizes == []
+        assert full.reachable_sizes == (24, 552, 1728, 1920) and bare.reachable_sizes == ()
         assert (bare.connected, bare.minimal_n, bare.reachable_dims, bare.complete) == \
             (full.connected, full.minimal_n, full.reachable_dims, full.complete)
 

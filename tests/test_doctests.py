@@ -21,6 +21,6 @@ def test_examples_are_found():
     """A module whose examples stop being collected would pass silently."""
     counts = {name: doctest.testmod(importlib.import_module(name)).attempted
               for name in ("parhom.dynkin", "parhom.connectivity", "parhom.rootweyl",
-                           "parhom.geometry")}
+                           "parhom.geometry", "parhom.report")}
     assert counts == {"parhom.dynkin": 4, "parhom.connectivity": 3, "parhom.rootweyl": 2,
-                      "parhom.geometry": 2}
+                      "parhom.geometry": 2, "parhom.report": 2}

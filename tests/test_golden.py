@@ -1,7 +1,8 @@
 """Golden outputs: `enumerate --with-chains` on A4, B3, G2 and F4 must print
 exactly what the recorded files hold (TSV byte for byte, JSON by SHA-256),
-so a change to the report schema or to any computed field shows here.  The
-TSV chain tables of E6, E7 and E8 are checked by SHA-256: E6 and E7 as
+so a change to the report schema or to any computed field shows here.  Eight
+`analyze` text reports, one per kind of line `render_text` prints, are
+checked by SHA-256.  The TSV chain tables of E6, E7 and E8 are checked by SHA-256: E6 and E7 as
 recorded when every scan still built an orbit, and E8, the first complete
 table, with its minimal_n column sampled against the Demazure oracle."""
 
@@ -23,6 +24,7 @@ from parhom.report import TSV_COLUMNS
 GOLDEN = Path(__file__).parent / "golden"
 JSON_DIGESTS = json.loads((GOLDEN / "enumerate_json_sha256.json").read_text())
 CHAIN_DIGESTS = json.loads((GOLDEN / "chain_tables_sha256.json").read_text())
+TEXT_DIGESTS = json.loads((GOLDEN / "analyze_text_sha256.json").read_text())
 E8_TABLE = "enumerate --type E8 --with-chains --weyl-limit 696729600"
 
 
@@ -38,6 +40,13 @@ def test_json_matches_golden_digest(capsys, command):
     assert main(command.split()) == 0
     got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert got == JSON_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(TEXT_DIGESTS))
+def test_text_report_matches_golden_digest(capsys, command):
+    assert main(command.split()) == 0
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == TEXT_DIGESTS[command]
 
 
 @lru_cache(maxsize=None)

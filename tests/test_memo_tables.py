@@ -6,6 +6,7 @@ nodes and guard limits still raise; a table never hands out a mutable
 value; and whole sweeps print the recorded bytes, however warm the tables
 are."""
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -164,10 +165,11 @@ def test_tables_stay_within_their_bounds(warm_e6):
     assert len(rs.flag_dims) <= 2 ** 6
     assert len(rs.levi_splits) <= 2 ** 6
     assert 0 < len(rs.cycles) <= 3 ** 6
-    for type_string, marking, diagram in rs.cycles.values():
+    for type_string, marking, roots in rs.cycles.values():
         assert isinstance(type_string, str) and isinstance(marking, Marking)
-        assert (diagram is None) == (not type_string)
-        assert diagram is None or diagram.type_string == type_string
+        assert (roots is None) == (not type_string)
+        assert roots is None or roots is generate_roots(roots.diagram)
+        assert roots is None or roots.diagram.type_string == type_string
 
 
 def test_mutating_a_relabel_mapping_leaves_the_cycle_alone(warm_e6):
@@ -188,7 +190,7 @@ def test_mutating_a_relabel_mapping_leaves_the_cycle_alone(warm_e6):
 def test_cache_clear_drops_the_tables():
     d = parse_diagram_spec("B3")
     cycle_descriptor(ParabolicPair(d, [1], [2]))
-    weyl_order(d, [1])
+    weyl_order(generate_roots(d), [1])
     old = generate_roots(d)
     assert old.flag_dims and old.levi_splits and old.cycles and old.weyl_orders
     generate_roots.cache_clear()
@@ -233,11 +235,11 @@ def test_weyl_orders_warm_equal_cold(spec):
     cold = {}
     for p in subsets(d.n):
         generate_roots.cache_clear()
-        cold[p] = weyl_order(d, p)
+        cold[p] = weyl_order(generate_roots(d), p)
     generate_roots.cache_clear()
-    assert {p: weyl_order(d, p) for p in cold} == cold  # every lookup a miss
+    assert {p: weyl_order(generate_roots(d), p) for p in cold} == cold  # every lookup a miss
     assert len(generate_roots(d).weyl_orders) == 2 ** d.n
-    assert {p: weyl_order(d, Marking(p)) for p in cold} == cold  # every one a hit
+    assert {p: weyl_order(generate_roots(d), Marking(p)) for p in cold} == cold  # every one a hit
 
 
 def test_bad_nodes_raise_against_a_warm_weyl_order_table():
@@ -249,7 +251,7 @@ def test_bad_nodes_raise_against_a_warm_weyl_order_table():
     assert 0 < len(warm) <= 2 ** 6
     for bad in ([7], [0], [1, 7]):
         with pytest.raises(DiagramError):
-            weyl_order(d, bad)
+            weyl_order(generate_roots(d), bad)
     assert table == warm  # nothing stored for a bad marking
     assert all(1 <= v <= d.n for key in table for v in key)
 
@@ -312,35 +314,73 @@ def test_warm_scans_equal_cold_ones(spec, distinct):
 
 
 def test_mutating_a_returned_scan_leaves_the_next_alone():
+    # a scan is frozen and holds tuples, so a changed scan is a copy
     pair = ParabolicPair(parse_diagram_spec("D5"), [2], [1, 3])
     first = chain_analysis(pair)
-    want = (list(first.reachable_sizes), list(first.reachable_dims))
-    first.reachable_sizes[0] = -1
-    first.reachable_sizes.append(0)
-    first.reachable_dims.clear()
-    again = chain_analysis(pair)
-    assert (again.reachable_sizes, again.reachable_dims) == want
+    want = scan_fields(first)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.reachable_dims = ()
+    with pytest.raises(TypeError):
+        first.reachable_sizes[0] = -1
+    altered = dataclasses.replace(first, reachable_sizes=(-1,) + first.reachable_sizes[1:])
+    assert altered.reachable_sizes[0] == -1 and scan_fields(first) == want
+    assert scan_fields(chain_analysis(pair)) == want
+
+
+def test_rows_sharing_a_scan_cannot_change_it_for_each_other():
+    # F4 psi_p = {1}: psi_q = {2} and {2, 3} both reduce to {2}, so their rows
+    # share one scan, which neither can change
+    context = PsiPContext(parse_diagram_spec("F4"), [1], with_chains=True)
+    first = build_report(context, [2])
+    want = first.chains.reachable_dims
+    with pytest.raises(TypeError):
+        first.chains.reachable_dims[1] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.chains.reachable_dims = (0, 0) + want[2:]
+    first.chains = dataclasses.replace(first.chains, reachable_dims=(0, 0) + want[2:])
+    second = build_report(context, [2, 3])  # passes its checks
+    assert second.chains is context.chains[(2,)] and second.chains.reachable_dims == want
+
+
+def test_a_stored_row_cannot_be_changed_through_its_report():
+    # the context keeps the row it hands to the report of A4 psi_q = {1, 3, 4}
+    context = PsiPContext(parse_diagram_spec("A4"), [2])
+    first = build_report(context, [1, 3, 4])
+    assert first.red is context.row(Marking([1, 3, 4]))[1]
+    assert first.red.witness_starts == ((1, 2), (3, 2))
+    with pytest.raises(TypeError):
+        first.red.witness_starts[0] = (1, 4)
+    assert build_report(context, [1, 3, 4]).red.witness_starts == ((1, 2), (3, 2))
 
 
 def test_truncated_scan_is_not_served_from_the_full_entry():
-    pair = ParabolicPair(parse_diagram_spec("D5"), [1, 5], [3])
-    full = chain_analysis(pair)
-    assert full.complete and full.minimal_n > 1
-    short = chain_analysis(pair, max_k=1)
-    assert not short.complete and short.minimal_n is None
-    assert short.reachable_sizes == full.reachable_sizes[:2]
-    generate_roots.cache_clear()
-    cold = ParabolicPair(pair.diagram, pair.psi_p, pair.psi_q)  # on the new root system
-    assert scan_fields(chain_analysis(cold, max_k=1)) == scan_fields(short)
-    assert scan_fields(chain_analysis(cold)) == scan_fields(full)
+    # contexts of one psi_p at max_k 32 and 1 each serve the scan of their
+    # own limit, also to a row whose scan is served: (3, 4) reduces to (3,)
+    d = parse_diagram_spec("D5")
+    full_ctx, short_ctx = (PsiPContext(d, [1, 5], with_chains=True, max_k=k) for k in (32, 1))
+    pair = ParabolicPair(d, [1, 5], [3])
+    for q in ([3], [3, 4]):
+        full, short = build_report(full_ctx, q).chains, build_report(short_ctx, q).chains
+        assert full.complete and full.minimal_n > 1
+        assert not short.complete and short.minimal_n is None
+        assert short.reachable_sizes == full.reachable_sizes[:2]
+        assert scan_fields(short) == scan_fields(chain_analysis(pair, max_k=1))
+        assert scan_fields(full) == scan_fields(chain_analysis(pair))
+    assert set(full_ctx.chains) == set(short_ctx.chains) == {(3,)}
 
 
 def test_guard_holds_on_a_warm_memo():
-    pair = ParabolicPair(parse_diagram_spec("D5"), range(1, 6), [2])
-    assert chain_analysis(pair).connected is False  # the Borel orbit, 1,920 points
+    # a context at the default limit fills `weyl_orders` for the D5 Borel
+    # (1,920 points); one at 1,919 reads them warm and still refuses
+    d = parse_diagram_spec("D5")
+    generate_roots.cache_clear()
+    borel = Marking(range(1, 6))
+    assert build_report(PsiPContext(d, borel, with_chains=True), [2]).chains.connected is False
+    assert borel in generate_roots(d).weyl_orders
+    strict = PsiPContext(d, borel, with_chains=True, weyl_limit=1919)
     with pytest.raises(GuardLimitError) as exc:
-        chain_analysis(pair, weyl_limit=1919)
-    assert exc.value.estimated == 1920
+        build_report(strict, [2])
+    assert exc.value.estimated == 1920 and not strict.chains
 
 
 def test_memo_goes_with_the_orbit_slot():

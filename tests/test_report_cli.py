@@ -90,14 +90,15 @@ class TestReport:
         # dims monotone and the top cell, so only the length check sees it
         r = report_for("D5", [1, 5], [3], with_chains=True, with_sizes=with_sizes)
         verify_report(r)
-        r.chains.reachable_dims[1] = 0
+        dims = r.chains.reachable_dims
+        r.chains = dataclasses.replace(r.chains, reachable_dims=(dims[0], 0) + dims[2:])
         with pytest.raises(ConsistencyError, match="lengths strictly increase"):
             verify_report(r)
 
     def test_verify_rejects_a_truncated_scan_that_stalls(self):
         r = report_for("D5", [1, 5], [3], with_chains=True, max_k=2, with_sizes=False)
-        assert not r.chains.complete and r.chains.reachable_dims == [0, 7, 13]
-        r.chains.reachable_dims[2] = 7
+        assert not r.chains.complete and r.chains.reachable_dims == (0, 7, 13)
+        r.chains = dataclasses.replace(r.chains, reachable_dims=(0, 7, 7))
         with pytest.raises(ConsistencyError, match="lengths strictly increase"):
             verify_report(r)
 
@@ -192,18 +193,21 @@ class TestPsiPContext:
         assert len(served) > 1
         for r in served:
             red = r.red.reduced_marking
-            assert red in context.reduced  # verify_report reads it from the context
+            assert red in context.rows  # verify_report reads its row from the context
             verify_report(r)
-            pair, marking, dim = entry = context.reduced[red]
+            pair, red_of_red, cycle = entry = context.rows[red]
             if corrupt == "stored marking":
-                context.reduced[red] = (pair, Marking(set(marking) ^ {1}), dim)
+                marking = Marking(set(red_of_red.reduced_marking) ^ {1})
+                context.rows[red] = (
+                    pair, dataclasses.replace(red_of_red, reduced_marking=marking), cycle)
             elif corrupt == "stored dim":
-                context.reduced[red] = (pair, marking, dim + 1)
+                context.rows[red] = (
+                    pair, red_of_red, dataclasses.replace(cycle, dim=cycle.dim + 1))
             else:
                 r.cycle = dataclasses.replace(r.cycle, dim=r.cycle.dim + 1)
             with pytest.raises(ConsistencyError, match=check):
                 verify_report(r)
-            context.reduced[red] = entry
+            context.rows[red] = entry
 
 
 class TestCliAnalyze:
