@@ -7,8 +7,7 @@ from .dynkin import (MAX_RANK, DiagramError, DynkinDiagram, Marking,
                      RankLimitError, SimpleFactor, cartan_matrix,
                      diagram_involution_table, induced_components,
                      parse_diagram_spec, relabel_to_standard, tree_path)
-from .rootweyl import (GuardLimitError, RootSystem, generate_roots,
-                       resolve_weyl_limit, weyl_order)
+from .rootweyl import GuardLimitError, RootSystem, generate_roots, weyl_order
 from .geometry import CycleDescriptor, ParabolicPair, cycle_descriptor, dim_flag
 from .connectivity import (BoundaryClass, ChainAnalysis, ConsistencyError,
                            ExceptionFlags, LargerAutomorphismCase,

@@ -2,14 +2,17 @@
 
 Two subcommands: `analyze` reports on one (type, psi_p, psi_q) triple,
 `enumerate` sweeps every marking pair of a type, printing each row as it
-is built.  Exit codes: 0 success, 2 bad input (diagram, marking, flag or
-PARHOM_WEYL_LIMIT), 3 guard-limit breach, total rank over MAX_RANK or out
-of memory, 4 internal failure.
+is built.  The guard limit is read here only: `--weyl-limit`, else
+PARHOM_WEYL_LIMIT through the same parser, else the default; the library
+takes it as an int.  Exit codes: 0 success, 2 bad input (diagram, marking,
+flag or PARHOM_WEYL_LIMIT), 3 guard-limit breach, total rank over MAX_RANK
+or out of memory, 4 internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from itertools import chain, combinations
@@ -19,7 +22,7 @@ from .dynkin import (DiagramError, DynkinDiagram, Marking, RankLimitError,
                      parse_diagram_spec)
 from .report import (PsiPContext, build_report, render_json, render_text,
                      render_tsv_row, tsv_header)
-from .rootweyl import GuardLimitError, resolve_weyl_limit
+from .rootweyl import DEFAULT_WEYL_LIMIT, LIMIT_ENV, GuardLimitError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -75,9 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_analyze(args) -> int:
     d = parse_diagram_spec(args.type)
-    context = PsiPContext(d, Marking.parse(args.p), with_chains=args.chain_length,
-                          max_k=args.max_k, weyl_limit=args.weyl_limit)
-    report = build_report(context, Marking.parse(args.q))
+    p, q = Marking.parse(args.p), Marking.parse(args.q)
+    context = PsiPContext(d, p, with_chains=args.chain_length, max_k=args.max_k,
+                          weyl_limit=args.weyl_limit)
+    report = build_report(context, q)
     print(render_json(report) if args.json else render_text(report))
     return EXIT_OK
 
@@ -90,10 +94,9 @@ def _all_markings(d: DynkinDiagram) -> list[Marking]:
 
 def cmd_enumerate(args) -> int:
     d = parse_diagram_spec(args.type)
-    limit = resolve_weyl_limit(args.weyl_limit)
     pairs = (2 ** d.n - 1) * 2 ** d.n
-    if pairs > limit:
-        raise GuardLimitError(pairs, limit, "sweep pair count")
+    if pairs > args.weyl_limit:
+        raise GuardLimitError(pairs, args.weyl_limit, "sweep pair count")
     subsets = _all_markings(d)
     if args.format == "tsv":
         print(tsv_header())
@@ -101,7 +104,7 @@ def cmd_enumerate(args) -> int:
         if not p:
             continue
         context = PsiPContext(d, p, with_chains=args.with_chains, max_k=args.max_k,
-                              weyl_limit=limit, with_sizes=args.format == "json")
+                              weyl_limit=args.weyl_limit, with_sizes=args.format == "json")
         for q in subsets:
             if args.nontrivial_only and (set(p) <= set(q) or not q):
                 continue
@@ -114,10 +117,12 @@ def cmd_enumerate(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        args.weyl_limit = resolve_weyl_limit(args.weyl_limit)
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.weyl_limit is None:
+        env = os.environ.get(LIMIT_ENV)
+        try:
+            args.weyl_limit = _positive_int(env) if env else DEFAULT_WEYL_LIMIT
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"{LIMIT_ENV}: {exc}")
     try:
         if args.command == "analyze":
             return cmd_analyze(args)

@@ -17,7 +17,7 @@ from enum import Enum
 
 from .dynkin import DynkinDiagram, Marking, diagram_involution_table
 from .geometry import ParabolicPair, dim_flag, levi_split
-from .rootweyl import GuardLimitError, reflection_closure, resolve_weyl_limit, weyl_order
+from .rootweyl import DEFAULT_WEYL_LIMIT, GuardLimitError, reflection_closure, weyl_order
 
 
 class ConsistencyError(RuntimeError):
@@ -88,7 +88,7 @@ class ChainAnalysis:
     complete: bool
 
 
-def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
+def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit: int = DEFAULT_WEYL_LIMIT,
                    with_sizes: bool = True) -> ChainAnalysis:
     """The level sets as Bruhat intervals S_j = [e, x_j], x_0 = w_0(P) and
     x_j = x_{j-1} * w_0(Q) * w_0(P) (Demazure products; Bjorner-Brenti 2.2):
@@ -98,17 +98,17 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit=None,
     `with_sizes` also counts |S_j|: |W_P| at j = 0, |W_R| where l(x_j) =
     |Phi+_R|, and the levels between as points of the orbit W_R/W_P, by
     the subword property (Bjorner-Brenti 2.2.2) on the letters of x_j, as
-    x_j^-1 = x_j (`_scan`).  The guard counts |W/W_P| either way.  A plain
-    function of its arguments: nothing is memoised, and a sweep calls it
-    once per reduced pair (`report.PsiPContext`)."""
+    x_j^-1 = x_j (`_scan`).  The guard counts |W/W_P| either way, against
+    `weyl_limit` as given: no environment is read.  A plain function of its
+    arguments: nothing is memoised, and a sweep calls it once per reduced
+    pair (`report.PsiPContext`)."""
     if max_k < 1:
         raise ValueError("max_k must be positive")
     d, rs = pair.diagram, pair.roots
     stabilizer = weyl_order(rs, pair.psi_p)
     orbit_size = weyl_order(rs) // stabilizer
-    limit = resolve_weyl_limit(weyl_limit)
-    if orbit_size > limit:
-        raise GuardLimitError(orbit_size, limit, "orbit size |W/W_P|")
+    if orbit_size > weyl_limit:
+        raise GuardLimitError(orbit_size, weyl_limit, "orbit size |W/W_P|")
     # the Levi generators as columns: the unmarked nodes
     p_gens, q_gens = ([i for i in range(d.n) if i + 1 not in psi]
                       for psi in (pair.psi_p, pair.psi_q))

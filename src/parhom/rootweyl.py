@@ -13,13 +13,12 @@ numpy is imported by the scan only, so it loads only to count a chain
 level strictly between W_P and W_R (`analyze --chain-length`, JSON chain
 sweeps).
 
-Chain scans run behind a guard limit on |W/W_P| (default 10**6 points, env
-PARHOM_WEYL_LIMIT) so desk-scale runs stay desk-scale.
+Chain scans run behind a guard limit on |W/W_P| (default 10**6 points) so
+desk-scale runs stay desk-scale; only the CLI reads PARHOM_WEYL_LIMIT.
 """
 
 from __future__ import annotations
 
-import os
 from functools import cached_property, lru_cache
 from math import prod
 from typing import TYPE_CHECKING
@@ -43,23 +42,6 @@ class GuardLimitError(RuntimeError):
             f"{limit}; raise --weyl-limit or {LIMIT_ENV}")
         self.estimated = estimated
         self.limit = limit
-
-
-def resolve_weyl_limit(explicit=None) -> int:
-    """`explicit` if given, else PARHOM_WEYL_LIMIT, else the default.
-    Raises ValueError when the env value is not an integer >= 1."""
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get(LIMIT_ENV)
-    if not env:
-        return DEFAULT_WEYL_LIMIT
-    try:
-        value = int(env)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{LIMIT_ENV} must be an integer >= 1, got {env!r}")
-    return value
 
 
 def _positive_root_closure(cart, n):

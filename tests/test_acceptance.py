@@ -237,14 +237,14 @@ def test_criterion_9_determinism():
         from contextlib import redirect_stdout
         from io import StringIO
 
-        from parhom.cli import build_parser, cmd_enumerate
+        from parhom.cli import main
 
         argv = ["enumerate", "--type", "F4", "--with-chains", "--format", "tsv"]
         outputs = []
         for _ in range(2):
             buf = StringIO()
             with redirect_stdout(buf):
-                assert cmd_enumerate(build_parser().parse_args(argv)) == 0
+                assert main(argv) == 0
             outputs.append(buf.getvalue())
         assert outputs[0].encode() == outputs[1].encode()
         assert len(outputs[0].strip().splitlines()) == 1 + 15 * 16

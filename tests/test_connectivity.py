@@ -281,6 +281,13 @@ class TestChainAnalysis:
         assert exc.value.estimated == 696729600
         assert "orbit size" in str(exc.value)
 
+    def test_guard_reads_no_environment(self, monkeypatch):
+        monkeypatch.setenv("PARHOM_WEYL_LIMIT", "3")
+        pair = pair_of("A3", [1], [2])  # |W/W_P| = 4
+        assert chain_analysis(pair) == chain_analysis(pair, weyl_limit=4)
+        with pytest.raises(GuardLimitError):
+            chain_analysis(pair, weyl_limit=3)
+
     @pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2", "B4", "F4", "D4", "A2xG2"])
     def test_matches_permutation_scan_on_every_pair(self, spec):
         d = parse_diagram_spec(spec)

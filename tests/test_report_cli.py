@@ -1,13 +1,16 @@
 """Report assembly, JSON schema, TSV rows, CLI behavior and exit codes."""
 
+import ast
 import dataclasses
 import hashlib
 import json
 import re
 from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
 
+import parhom
 from parhom import (ConsistencyError, Marking, RootSystem, build_report,
                     generate_roots, parse_diagram_spec, render_json,
                     render_tsv_row, report_to_dict, tsv_header, verify_report)
@@ -80,8 +83,8 @@ class TestReport:
 
     def test_verify_rejects_tampering(self):
         r = report_for("A3", [2], [1])
-        r.dim_gq += 1
-        with pytest.raises(ConsistencyError, match="cycle dimension formula"):
+        r.dim_gq = r.dim_gpq + 1
+        with pytest.raises(ConsistencyError, match="dim monotonicity"):
             verify_report(r)
 
     @pytest.mark.parametrize("with_sizes", [True, False])
@@ -186,7 +189,7 @@ class TestPsiPContext:
     @pytest.mark.parametrize("corrupt,check", [
         ("stored marking", "reduction idempotence"),
         ("stored dim", "moduli dim consistency"),
-        ("cycle dim", "cycle dimension formula"),
+        ("cycle dim", "cycle dim internal recomputation"),
     ])
     def test_served_rows_still_fail_their_checks(self, corrupt, check):
         context, served = self.sweep("D5", [2, 4])
@@ -208,6 +211,15 @@ class TestPsiPContext:
             with pytest.raises(ConsistencyError, match=check):
                 verify_report(r)
             context.rows[red] = entry
+
+
+def limit_input(monkeypatch, flag, value):
+    """The argv tail giving `value` to `flag`, or [] after setting `value`
+    as the environment variable `flag`."""
+    if flag.startswith("--"):
+        return [flag, value]
+    monkeypatch.setenv(flag, value)
+    return []
 
 
 class TestCliAnalyze:
@@ -240,12 +252,12 @@ class TestCliAnalyze:
         err = capsys.readouterr().err
         assert "696729600" in err and "1000000" in err
 
-    @pytest.mark.parametrize("flag", ["--weyl-limit", "--max-k"])
+    @pytest.mark.parametrize("flag", ["--weyl-limit", "--max-k", "PARHOM_WEYL_LIMIT"])
     @pytest.mark.parametrize("value", ["-5", "0"])
-    def test_nonpositive_limit_flags_exit2(self, capsys, flag, value):
+    def test_nonpositive_limit_flags_exit2(self, capsys, monkeypatch, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "--type", "A3", "--p", "1", "--q", "2",
-                  "--chain-length", flag, value])
+                  "--chain-length", *limit_input(monkeypatch, flag, value)])
         assert exc.value.code == 2
         assert f"{flag}: must be at least 1, got {value}" in capsys.readouterr().err
 
@@ -346,20 +358,50 @@ class TestCliEnumerate:
 
 
 class TestCliBoundary:
+    ORBIT_4 = ["analyze", "--type", "A3", "--p", "1", "--q", "2", "--chain-length"]
+
     @pytest.mark.parametrize("value", ["-5", "0", "abc"])
     def test_bad_env_limit_exit2(self, capsys, monkeypatch, value):
         monkeypatch.setenv("PARHOM_WEYL_LIMIT", value)
         with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--type", "A3", "--p", "1", "--q", "2", "--chain-length"])
+            main(self.ORBIT_4)
         assert exc.value.code == 2
-        assert f"PARHOM_WEYL_LIMIT must be an integer >= 1, got {value!r}" in \
-            capsys.readouterr().err
+        message = "not an integer: 'abc'" if value == "abc" else f"must be at least 1, got {value}"
+        assert f"PARHOM_WEYL_LIMIT: {message}" in capsys.readouterr().err
 
     def test_env_limit_applies(self, capsys, monkeypatch):
         monkeypatch.setenv("PARHOM_WEYL_LIMIT", "3")
-        assert main(["analyze", "--type", "A3", "--p", "1", "--q", "2",
-                     "--chain-length"]) == 3
+        assert main(self.ORBIT_4) == 3
         assert "orbit size |W/W_P| 4 exceeds guard limit 3" in capsys.readouterr().err
+
+    def test_flag_beats_env(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARHOM_WEYL_LIMIT", "3")
+        assert main(self.ORBIT_4 + ["--weyl-limit", "100"]) == 0
+
+    def test_empty_env_gives_the_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("PARHOM_WEYL_LIMIT", "")
+        assert main(["analyze", "--type", "E8", "--p", "1,2,3,4,5,6,7,8", "--q", "1",
+                     "--chain-length"]) == 3
+        assert "exceeds guard limit 1000000;" in capsys.readouterr().err
+
+    def test_only_the_cli_reads_the_environment(self):
+        """`os.environ`, `os.getenv` or `from os import environ` in a module
+        of the package, found by its syntax tree."""
+        readers_of_env = {"environ", "environb", "getenv", "getenvb"}
+
+        def reads_env(node):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                return any(alias.name in readers_of_env for alias in node.names)
+            return (isinstance(node, ast.Attribute) and node.attr in readers_of_env
+                    and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+        readers = {path.name for path in Path(parhom.__file__).parent.glob("*.py")
+                   if any(map(reads_env, ast.walk(ast.parse(path.read_text()))))}
+        assert readers == {"cli.py"}
+
+    def test_both_markings_parsed_before_either_is_checked(self, capsys):
+        assert main(["analyze", "--type", "A3", "--p", "9", "--q", "x"]) == 2
+        assert capsys.readouterr().err == "error: bad marking token 'x' (expected integer)\n"
 
     def test_internal_value_error_exit4(self, capsys, monkeypatch):
         def broken(*a, **kw):
@@ -448,10 +490,10 @@ class TestCliHugeInteger:
             "enumerate": ["enumerate", "--type", "A2", "--with-chains"]}
 
     @pytest.mark.parametrize("command", ["analyze", "enumerate"])
-    @pytest.mark.parametrize("flag", ["--weyl-limit", "--max-k"])
-    def test_too_large_exit2(self, capsys, command, flag):
+    @pytest.mark.parametrize("flag", ["--weyl-limit", "--max-k", "PARHOM_WEYL_LIMIT"])
+    def test_too_large_exit2(self, capsys, monkeypatch, command, flag):
         with pytest.raises(SystemExit) as exc:
-            main(self.ARGV[command] + [flag, "9" * 5000])
+            main(self.ARGV[command] + limit_input(monkeypatch, flag, "9" * 5000))
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"{flag}: too large: an integer of 5000 digits" in err

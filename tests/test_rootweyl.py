@@ -179,11 +179,10 @@ class TestEnumerate:
         assert err.value.limit == 10 ** 6
         assert "2903040" in str(err.value)
 
-    def test_guard_env_override(self, monkeypatch):
-        monkeypatch.setenv("PARHOM_WEYL_LIMIT", "10")
+    def test_guard_explicit_limit(self):
         rs = rs_for("A3")
         with pytest.raises(GuardLimitError):
-            enumerate_weyl(rs, [1, 2, 3])
+            enumerate_weyl(rs, [1, 2, 3], weyl_limit=10)
 
     def test_subgroup_closed_under_generators(self):
         rs = rs_for("B3")

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from parhom.dynkin import DynkinDiagram, Marking, relabel_to_standard
-from parhom.rootweyl import GuardLimitError, RootSystem, resolve_weyl_limit
+from parhom.rootweyl import DEFAULT_WEYL_LIMIT, GuardLimitError, RootSystem
 
 _EXCEPTIONAL_ORDER = {
     ("E", 6): 51840,
@@ -253,14 +253,14 @@ class WeylSubset:
         return f"WeylSubset(|{self.rs.diagram.type_string}| size={len(self)}{gen})"
 
 
-def enumerate_weyl(rs: RootSystem, generators, weyl_limit=None) -> WeylSubset:
+def enumerate_weyl(rs: RootSystem, generators,
+                   weyl_limit: int = DEFAULT_WEYL_LIMIT) -> WeylSubset:
     """The subgroup generated by the simple reflections of the given nodes,
     by breadth-first closure from the identity."""
     gens = Marking(generators).validate_on(rs.diagram)
-    limit = resolve_weyl_limit(weyl_limit)
     est = weyl_order_estimate(rs.diagram, gens)
-    if est > limit:
-        raise GuardLimitError(est, limit, ESTIMATE)
+    if est > weyl_limit:
+        raise GuardLimitError(est, weyl_limit, ESTIMATE)
     rows = permutation_closure(rs, perm_tables(rs).identity_row[None, :], gens, "left")
     return WeylSubset(rs, rows, generators_marking=gens)
 
@@ -305,7 +305,8 @@ def min_coset_length(w: WeylElement, generators, rs: RootSystem | None = None) -
     return int((w.row[outside] >= rs.num_positive).sum())
 
 
-def product_set(a: WeylSubset, b: WeylSubset, weyl_limit=None) -> WeylSubset:
+def product_set(a: WeylSubset, b: WeylSubset,
+                weyl_limit: int = DEFAULT_WEYL_LIMIT) -> WeylSubset:
     """{x*y : x in a, y in b} as a set.
 
     When either side is a parabolic subgroup the product is computed by
@@ -314,12 +315,11 @@ def product_set(a: WeylSubset, b: WeylSubset, weyl_limit=None) -> WeylSubset:
     if a.rs is not b.rs:
         raise ValueError("product of subsets over different root systems")
     rs = a.rs
-    limit = resolve_weyl_limit(weyl_limit)
     if b.generators_marking is not None:
-        rows = permutation_closure(rs, a.rows, b.generators_marking, "right", limit=limit)
+        rows = permutation_closure(rs, a.rows, b.generators_marking, "right", limit=weyl_limit)
         return WeylSubset(rs, rows)
     if a.generators_marking is not None:
-        rows = permutation_closure(rs, b.rows, a.generators_marking, "left", limit=limit)
+        rows = permutation_closure(rs, b.rows, a.generators_marking, "left", limit=weyl_limit)
         return WeylSubset(rs, rows)
     t = perm_tables(rs)
     seen: set[bytes] = set()
@@ -334,8 +334,8 @@ def product_set(a: WeylSubset, b: WeylSubset, weyl_limit=None) -> WeylSubset:
                 fresh.append(i)
         if fresh:
             total += len(fresh)
-            if total > limit:
-                raise GuardLimitError(total, limit, ESTIMATE)
+            if total > weyl_limit:
+                raise GuardLimitError(total, weyl_limit, ESTIMATE)
             blocks.append(block[fresh])
     if not blocks:
         return WeylSubset(rs, a.rows[:0])
