@@ -189,7 +189,9 @@ class TestPsiPContext:
     @pytest.mark.parametrize("corrupt,check", [
         ("stored marking", "reduction idempotence"),
         ("stored dim", "moduli dim consistency"),
-        ("cycle dim", "cycle dim internal recomputation"),
+        # "cycle dim internal recomputation" recomputes the cycle dimension
+        pytest.param("cycle dim", "cycle dim internal recomputation",
+                     id="cycle dim-cycle dimension recomputed"),
     ])
     def test_served_rows_still_fail_their_checks(self, corrupt, check):
         context, served = self.sweep("D5", [2, 4])
