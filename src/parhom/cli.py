@@ -4,7 +4,9 @@ Two subcommands: `analyze` reports on one (type, psi_p, psi_q) triple,
 `enumerate` sweeps every marking pair of a type, printing each row as it
 is built.  The guard limit is read here only: `--weyl-limit`, else
 PARHOM_WEYL_LIMIT through the same parser, else the default; the library
-takes it as an int.  Exit codes: 0 success, 2 bad input (diagram, marking,
+takes it as an int.  The parser is built on the first `main` call and
+reused by later calls in the same process; the environment is read on
+every call.  Exit codes: 0 success, 2 bad input (diagram, marking,
 flag or PARHOM_WEYL_LIMIT), 3 guard-limit breach, total rank over MAX_RANK
 or out of memory, 4 internal failure.
 """
@@ -15,6 +17,7 @@ import argparse
 import os
 import re
 import sys
+from functools import cache
 from itertools import chain, combinations
 
 from .connectivity import ConsistencyError
@@ -22,12 +25,17 @@ from .dynkin import (DiagramError, DynkinDiagram, Marking, RankLimitError,
                      parse_diagram_spec)
 from .report import (PsiPContext, build_report, render_json, render_text,
                      render_tsv_row, tsv_header)
-from .rootweyl import DEFAULT_WEYL_LIMIT, LIMIT_ENV, GuardLimitError
+from .rootweyl import DEFAULT_WEYL_LIMIT, GuardLimitError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
+
+LIMIT_ENV = "PARHOM_WEYL_LIMIT"
+MAX_K_HELP = "chain scan cutoff (default 32)"
+WEYL_LIMIT_HELP = (f"guard limit on orbit sizes and sweep pair counts; overrides {LIMIT_ENV} "
+                   "(default: that variable if set and non-empty, else 10^6)")
 
 
 def _positive_int(text: str) -> int:
@@ -45,7 +53,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and shared by every later call:
+    each call gets a fresh namespace, and nothing it resolves goes back
+    onto the parser."""
     parser = argparse.ArgumentParser(
         prog="parhom",
         description="Marked Dynkin diagram calculator: cycle dimensions, "
@@ -58,11 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--q", required=True, help="psi_q nodes ('-' for empty)")
     ana.add_argument("--chain-length", action="store_true",
                      help="run the Weyl reachability scan for the minimal chain length")
-    ana.add_argument("--max-k", type=_positive_int, default=32,
-                     help="chain scan cutoff (default 32)")
+    ana.add_argument("--max-k", type=_positive_int, default=32, help=MAX_K_HELP)
     ana.add_argument("--json", action="store_true", help="emit the parhom/1 JSON report")
-    ana.add_argument("--weyl-limit", type=_positive_int, default=None,
-                     help="override the guard on Weyl and orbit sizes (default 10^6)")
+    ana.add_argument("--weyl-limit", type=_positive_int, default=None, help=WEYL_LIMIT_HELP)
 
     enu = sub.add_parser("enumerate", help="sweep all marking pairs of a type")
     enu.add_argument("--type", required=True, help="diagram string")
@@ -70,9 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="keep only pairs with nontrivial cycles (Q not inside P, Q != G)")
     enu.add_argument("--with-chains", action="store_true",
                      help="run the chain-length scan on every row")
-    enu.add_argument("--format", choices=("json", "tsv"), default="tsv")
-    enu.add_argument("--max-k", type=_positive_int, default=32)
-    enu.add_argument("--weyl-limit", type=_positive_int, default=None)
+    enu.add_argument("--format", choices=("json", "tsv"), default="tsv",
+                     help="one parhom/1 JSON report per line, or TSV rows under a header "
+                          "(default tsv)")
+    enu.add_argument("--max-k", type=_positive_int, default=32, help=MAX_K_HELP)
+    enu.add_argument("--weyl-limit", type=_positive_int, default=None, help=WEYL_LIMIT_HELP)
     return parser
 
 
@@ -130,7 +142,10 @@ def main(argv=None) -> int:
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (GuardLimitError, RankLimitError) as exc:
+    except GuardLimitError as exc:
+        print(f"error: {exc}; raise --weyl-limit or {LIMIT_ENV}", file=sys.stderr)
+        return EXIT_GUARD
+    except RankLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except MemoryError:

@@ -29,7 +29,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_WEYL_LIMIT = 10 ** 6
-LIMIT_ENV = "PARHOM_WEYL_LIMIT"
 
 
 class GuardLimitError(RuntimeError):
@@ -37,9 +36,7 @@ class GuardLimitError(RuntimeError):
     guard; `quantity` names what was counted."""
 
     def __init__(self, estimated: int, limit: int, quantity: str):
-        super().__init__(
-            f"{quantity} {estimated} exceeds guard limit "
-            f"{limit}; raise --weyl-limit or {LIMIT_ENV}")
+        super().__init__(f"{quantity} {estimated} exceeds guard limit {limit}")
         self.estimated = estimated
         self.limit = limit
 

@@ -288,6 +288,12 @@ class TestChainAnalysis:
         with pytest.raises(GuardLimitError):
             chain_analysis(pair, weyl_limit=3)
 
+    def test_guard_message_names_no_cli_knob(self):
+        # the flag and the variable exist at the CLI only, which adds them
+        with pytest.raises(GuardLimitError) as exc:
+            chain_analysis(pair_of("A3", [1], [2]), weyl_limit=3)
+        assert str(exc.value) == "orbit size |W/W_P| 4 exceeds guard limit 3"
+
     @pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2", "B4", "F4", "D4", "A2xG2"])
     def test_matches_permutation_scan_on_every_pair(self, spec):
         d = parse_diagram_spec(spec)

@@ -50,6 +50,41 @@ def test_import_loads_no_numpy():
     assert run_child() == (0, b"", [], False)
 
 
+# counts the argparse parsers built, and the parser each `parse_args` runs on
+PARSER_COUNT = """
+import argparse, sys
+built, used = [], []
+init, parse = argparse.ArgumentParser.__init__, argparse.ArgumentParser.parse_args
+
+def counted_init(self, *args, **kwargs):
+    built.append(self)
+    init(self, *args, **kwargs)
+
+def counted_parse(self, *args, **kwargs):
+    used.append(self)
+    return parse(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counted_init
+argparse.ArgumentParser.parse_args = counted_parse
+import parhom.cli
+print(len(built))
+for argv in (sys.argv[1:], sys.argv[1:] + ["--json"], sys.argv[1:]):
+    assert parhom.cli.main(argv) == 0
+print(len(built), len({id(parser) for parser in used}), len(used), file=sys.stderr)
+"""
+
+
+def test_parser_built_on_first_call_and_reused():
+    # no parser at import, so the import time stays as it was; three calls share one
+    proc = subprocess.run(
+        [sys.executable, "-c", PARSER_COUNT, "analyze", "--type", "A2", "--p", "1", "--q", "2"],
+        capture_output=True, text=True, timeout=120, check=False,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "0"
+    assert proc.stderr.split() == ["3", "1", "3"]  # the parser and its two subparsers
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--type", "E6", "--p", "1", "--q", "2"],
     ["analyze", "--type", "E6", "--p", "1", "--q", "2", "--json"],

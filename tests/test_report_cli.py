@@ -14,7 +14,7 @@ import parhom
 from parhom import (ConsistencyError, Marking, RootSystem, build_report,
                     generate_roots, parse_diagram_spec, render_json,
                     render_tsv_row, report_to_dict, tsv_header, verify_report)
-from parhom.cli import main
+from parhom.cli import LIMIT_ENV, build_parser, main
 from parhom.report import TSV_COLUMNS, PsiPContext
 
 
@@ -418,6 +418,64 @@ class TestCliBoundary:
         monkeypatch.setattr("parhom.cli.build_report", broken)
         assert main(["enumerate", "--type", "A2"]) == 3
         assert "out of memory" in capsys.readouterr().err
+
+
+class TestCliHelp:
+    @pytest.mark.parametrize("command", ["analyze", "enumerate"])
+    def test_every_option_has_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        # an option without help text is a line of its own, up to the next option
+        entries = re.split(r"\n(?=  -)", out.split("options:\n", 1)[1].rstrip())
+        assert [e for e in entries if not re.search(r"\S {2,}\S|\n +\S", e)] == []
+        assert "overrides PARHOM_WEYL_LIMIT" in " ".join(out.split())
+
+
+def run_calls(calls, monkeypatch, capsys, fresh_parser):
+    """(exit code, stdout, stderr) of each `main(argv)` call, with
+    PARHOM_WEYL_LIMIT set to `env` for it, or unset when `env` is None."""
+    results = []
+    for argv, env in calls:
+        if env is None:
+            monkeypatch.delenv(LIMIT_ENV, raising=False)
+        else:
+            monkeypatch.setenv(LIMIT_ENV, env)
+        if fresh_parser:
+            build_parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        results.append((code, *capsys.readouterr()))
+    return results
+
+
+ORBIT_4 = TestCliBoundary.ORBIT_4
+SEQUENCES = {  # id: ([(argv, PARHOM_WEYL_LIMIT or None)], exit codes)
+    "flag-then-none": ([(ORBIT_4 + ["--weyl-limit", "3"], None), (ORBIT_4, None)], [3, 0]),
+    "env-set-cleared-set": ([(ORBIT_4, "3"), (ORBIT_4, None), (ORBIT_4, "3")], [3, 0, 3]),
+    "bad-env-then-good": ([(ORBIT_4, "abc"), (ORBIT_4, None)], [2, 0]),
+    "usage-error-then-good": ([(ORBIT_4[:5], None), (ORBIT_4, None)], [2, 0]),
+    "json-then-text": ([(ORBIT_4 + ["--json"], None), (ORBIT_4, None)], [0, 0]),
+    "nontrivial-then-plain": ([(["enumerate", "--type", "B2", "--nontrivial-only"], None),
+                               (["enumerate", "--type", "B2"], None)], [0, 0]),
+}
+
+
+class TestCliReusedParser:
+    """`main` builds its parser once per process; each call of a sequence
+    must give what it gives on a parser of its own."""
+
+    @pytest.mark.parametrize("calls,codes", SEQUENCES.values(), ids=SEQUENCES)
+    def test_calls_leak_nothing(self, capsys, monkeypatch, calls, codes):
+        cold = run_calls(calls, monkeypatch, capsys, fresh_parser=True)
+        build_parser.cache_clear()
+        warm = run_calls(calls, monkeypatch, capsys, fresh_parser=False)
+        assert build_parser.cache_info().misses == 1
+        assert warm == cold
+        assert [code for code, _, _ in warm] == codes
 
 
 def fail_after(calls):
