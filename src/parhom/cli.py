@@ -8,7 +8,9 @@ takes it as an int.  The parser is built on the first `main` call and
 reused by later calls in the same process; the environment is read on
 every call.  Exit codes: 0 success, 2 bad input (diagram, marking,
 flag or PARHOM_WEYL_LIMIT), 3 guard-limit breach, total rank over MAX_RANK
-or out of memory, 4 internal failure.
+or out of memory, 4 internal failure (a consistency check or any exception
+not named here), 5 stdout could not be written: quietly when the reader
+closed it (`parhom enumerate ... | head`), else with one `error:` line.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
+EXIT_OUTPUT = 5
 
 LIMIT_ENV = "PARHOM_WEYL_LIMIT"
 MAX_K_HELP = "chain scan cutoff (default 32)"
@@ -126,6 +129,16 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at os.devnull, so that the flush at
+    interpreter exit drops what a failed write left in the buffer and
+    prints no second error (the recipe in the Python docs, `signal`
+    module, "Note on SIGPIPE")."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -136,9 +149,20 @@ def main(argv=None) -> int:
         except argparse.ArgumentTypeError as exc:
             parser.error(f"{LIMIT_ENV}: {exc}")
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        return cmd_enumerate(args)
+        try:
+            if args.command == "analyze":
+                return cmd_analyze(args)
+            return cmd_enumerate(args)
+        finally:  # a failed write surfaces here, not at interpreter exit
+            if sys.stdout is not None:  # None when started with fd 1 closed
+                sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout
+        _discard_stdout()
+        return EXIT_OUTPUT
+    except OSError as exc:
+        _discard_stdout()
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_OUTPUT
     except DiagramError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -157,6 +181,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except ValueError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # a bug: one line, not a traceback
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -202,31 +202,39 @@ def _scan(pair: ParabolicPair, letters: list[int], ends: list[int], stabilizer: 
 
     A point is its Dynkin-label vector m, and s_a maps it to m_j - m_a*C[a][j].
     The points are kept in the order added, as exact keys only: the digits
-    m_j + M of radix 2M+1, node 1 first, in as many words below 2**62 as n
-    digits need, where M, the largest <lambda_P, beta^v> over positive coroots,
-    bounds every |m_j|.  U is s_a-closed after each letter a, so the next a
-    reads only the points added since, decoding their m_a
-    (`reflection_closure`).  The letters end at w_0(R), so U must end with
-    all `size` = |W_R/W_P| points; nothing is written past them."""
+    m_j + M, node 1 first, each `bits` = bit_length(2M) wide, in as many
+    words below 2**62 as n digits need, where M, the largest <lambda_P,
+    beta^v> over positive coroots, bounds every |m_j|.  So m_a decodes as
+    (key >> shift_a & mask) - M.  When one word holds all n digits (every
+    exceptional diagram at any psi_p), the keys are a flat array, one int
+    per point; else rows, one column per word.  U is s_a-closed after each
+    letter a, so the next a reads only the points added since, decoding
+    their m_a (`reflection_closure`).  The letters end at w_0(R), so U must
+    end with all `size` = |W_R/W_P| points; nothing is written past them."""
     import numpy as np
     rs, n = pair.roots, pair.diagram.n
     cols = [v - 1 for v in pair.psi_p]
     bound = int(rs.positive_coroots[:, cols].sum(axis=1).max())
-    radix = 2 * bound + 1
-    width = next(w for w in range(n, 0, -1) if radix ** w <= 1 << 62)
+    bits = (2 * bound).bit_length()
+    mask = (1 << bits) - 1
+    width = min(n, 62 // bits)  # digits per word
+    shifts = [bits * (width - 1 - j % width) for j in range(n)]
     place = np.zeros((n, -(-n // width)), dtype=np.int64)  # a row per node, a column per word
     for j in range(n):
-        place[j, j // width] = radix ** (width - 1 - j % width)
+        place[j, j // width] = 1 << shifts[j]
+    if width == n:
+        place = place[:, 0]  # flat keys
     # s_a moves a key by -m_a * row a; int64 wraps, but every key fits
     steps = rs.cartan.astype(np.int64) @ place
-    keys = np.empty((size, len(place[0])), dtype=np.int64)
+    keys = np.empty((size, *place.shape[1:]), dtype=np.int64)
     keys[0] = (np.bincount(cols, minlength=n) + bound) @ place
     closed = [0] * n  # per node a: the point count when U was last s_a-closed
     count, counts = 1, [1]
     for k, a in enumerate(letters, 1):
         if closed[a] < count:  # else U is still s_a-closed
             rows = keys[closed[a]:count]
-            m = rows[:, a // width] // int(place[a, a // width]) % radix - bound
+            m = (rows if width == n else rows[:, a // width]) >> shifts[a] & mask
+            m -= bound
             new = reflection_closure(m, rows, steps[a])
             end = count + len(new)
             if end > size:  # stop before writing past the keys

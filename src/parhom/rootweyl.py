@@ -127,21 +127,29 @@ def weyl_order(rs: RootSystem, psi=()) -> int:
 
 
 # bench/tracer.py times the chain scan's letters by wrapping this name
-def reflection_closure(m: np.ndarray, keys: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """The keys of the images s_a*x of the rows x of `keys` with m_a > 0 (`m`
-    holds m_a per row) that are not rows themselves, one per row.  The rows
-    are the points added to a set since it was last s_a-closed, so an image
-    is never an earlier point, as s_a maps those among themselves, and an
-    image that is a row has m_a < 0.  `step` is the key of s_a's move per
-    unit of m_a; every key is below 2**62."""
+def reflection_closure(m: np.ndarray, keys: np.ndarray, step: int | np.ndarray) -> np.ndarray:
+    """The keys of the images s_a*x of the points x of `keys` with m_a > 0
+    (`m` holds m_a per point) that are not points themselves.  The points
+    are those added to a set since it was last s_a-closed, so an image is
+    never an earlier point, as s_a maps those among themselves, and an image
+    that is a point has m_a < 0.  `step` is the key of s_a's move per unit
+    of m_a, and every key is below 2**62.  One-word keys are a flat array
+    and `step` an integer: the keys and images are tagged (2*key,
+    2*image + 1) and sorted once.  Keys of several words are rows, one
+    column per word, and `step` a row: they are sorted with `lexsort`."""
     import numpy as np
     up = m > 0
-    keys = keys - np.maximum(m, 0)[:, None] * step  # the images in place of the rows moved
-    if keys.shape[1] == 1:
-        tagged = np.sort(keys[:, 0] << 1 | up)  # an image sorts just after an equal row
+    if keys.ndim == 1:
+        tagged = np.maximum(m, 0)
+        tagged *= step
+        np.subtract(keys, tagged, out=tagged)  # the images in place of the points moved
+        tagged <<= 1
+        tagged |= up
+        tagged.sort()  # an image sorts just after an equal point
         new = (tagged & 1).astype(bool)
         new[1:] &= tagged[1:] - 1 != tagged[:-1]
-        return tagged[new, None] >> 1
+        return tagged[new] >> 1
+    keys = keys - np.maximum(m, 0)[:, None] * step
     order = np.lexsort((up, *keys.T[::-1]))
     keys, new = keys[order], up[order]
     new[1:] &= (keys[1:] != keys[:-1]).any(axis=1)

@@ -2,15 +2,17 @@
 path-walking oracles, exhaustively at low rank and by Hypothesis on random
 diagrams of rank <= 8, reduced-pair invariance of the cycle and of the
 chain scan, the chain scan's Demazure lengths against the oracle's, its
-first length against |Phi+| - dim G/P, and its orbit sizes against the
-permutation-row scan and the full-orbit scan."""
+first length against |Phi+| - dim G/P, its orbit sizes against the
+permutation-row scan and the full-orbit scan, and the scan's letter step
+`reflection_closure` against a set oracle."""
 
 import random
 from datetime import timedelta
 from itertools import chain, combinations
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import parhom.connectivity as connectivity
@@ -19,6 +21,7 @@ from demazure_oracle import demazure_chain_scan
 from parhom import (Marking, ParabolicPair, chain_analysis, cycle_descriptor, dim_flag,
                     generate_roots, is_separating, parse_diagram_spec, reduction,
                     weyl_order)
+from parhom.rootweyl import reflection_closure
 from reduction_oracle import brute_force_reduction
 from test_connectivity import full_orbit_sizes, permutation_chain_scan, scan_fields
 from weyl_oracle import classical_weyl_order, levi_generators, weyl_order_estimate
@@ -218,3 +221,39 @@ def test_levi_sizes_match_the_full_orbit_scan(case, data, max_k):
     d, psi_p = case
     pair = ParabolicPair(d, psi_p, data.draw(st.sets(st.integers(1, d.n)).map(Marking)))
     assert chain_analysis(pair, max_k=max_k).reachable_sizes == full_orbit_sizes(pair, max_k)
+
+
+@st.composite
+def closure_inputs(draw):
+    """(m, keys, step) as a letter s_a finds them: distinct keys, each moved
+    by -m*step, where a key with m < 0 is the image of a key with m > 0 (its
+    point was added with that one), and no other image is a key."""
+    step = draw(st.integers(-2 ** 20, 2 ** 20).filter(bool))
+    rows = []
+    for key, m, paired in draw(st.lists(st.tuples(st.integers(2 ** 23, 2 ** 40),
+                                                  st.integers(0, 5), st.booleans()),
+                                        max_size=40)):
+        rows.append((key, m))
+        if m and paired:
+            rows.append((key - m * step, -m))
+    keys = {k for k, _ in rows}
+    assume(len(keys) == len(rows))
+    images = [(k - m * step, -m) for k, m in rows if m > 0]
+    assume(all(image in rows or image[0] not in keys for image in images))
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    return (np.array([m for _, m in rows], dtype=np.int64),
+            np.array([k for k, _ in rows], dtype=np.int64), step)
+
+
+# the flat one-word path and the lexsort path (the keys as one column) both
+# give the images of the points with m > 0, less the points with m < 0
+@PROPERTY_SETTINGS
+@given(closure_inputs())
+def test_reflection_closure_matches_a_set_oracle(case):
+    m, keys, step = case
+    expected = ({k - mi * step for k, mi in zip(keys.tolist(), m.tolist()) if mi > 0}
+                - {k for k, mi in zip(keys.tolist(), m.tolist()) if mi < 0})
+    flat = reflection_closure(m, keys, step)
+    column = reflection_closure(m, keys[:, None], np.array([step], dtype=np.int64))
+    assert flat.ndim == 1 and column.shape == (len(expected), 1)
+    assert sorted(flat.tolist()) == sorted(column[:, 0].tolist()) == sorted(expected)

@@ -4,7 +4,10 @@ import ast
 import dataclasses
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from itertools import chain, combinations
 from pathlib import Path
 
@@ -279,7 +282,7 @@ class TestCliAnalyze:
         # and the scan reaches too few points: the arrays sized |W_R/W_P|
         # must not hide that from the size check
         rs = generate_roots(parse_diagram_spec("E6"))
-        monkeypatch.setattr(rs, "positive_coroots", rs.positive_coroots // 2)
+        monkeypatch.setattr(rs, "positive_coroots", (rs.positive_coroots + 1) // 2)
         # psi_p & psi_q is empty, so W_R = W and the orbit is all of W/W_P
         assert main(["analyze", "--type", "E6", "--p", "2,4", "--q", "1",
                      "--chain-length", "--json"]) == 4
@@ -287,10 +290,22 @@ class TestCliAnalyze:
                           capsys.readouterr().err)
         assert found and int(found[1]) < 1440
 
+    def test_long_orbit_exit4(self, capsys, monkeypatch):
+        # aliased digits can also carry into a neighbour and reach more
+        # points than |W_R/W_P|: the scan stops at the end of its keys and
+        # reports the count it reached
+        rs = generate_roots(parse_diagram_spec("E6"))
+        monkeypatch.setattr(rs, "positive_coroots", rs.positive_coroots // 2)
+        assert main(["analyze", "--type", "E6", "--p", "3,5", "--q", "1",
+                     "--chain-length", "--json"]) == 4
+        found = re.search(r"orbit has (\d+) points, not \|W_R/W_P\| = 2160",
+                          capsys.readouterr().err)
+        assert found and int(found[1]) > 2160
+
     def test_multi_word_orbit_output_unchanged(self, capsys):
-        # the keys of A40 take two words, as (2M+1)**40 > 2**62 for any M;
-        # psi_p = {1} has every level in closed form, and {1, 2} vs {3} is
-        # scanned.  The digests are the outputs of the table builds the scan
+        # the keys of A40 take two words, as 40 digits of at least 2 bits
+        # exceed 62 bits for any M; psi_p = {1} has every level in closed
+        # form, and {1, 2} vs {3} is scanned.  The digests are the outputs of the table builds the scan
         # replaced: the column lexsort, and the packed keys
         for p, q, digest in [
             ("1", "2", "d727585980daec86b3bc0a6a4b8d0539d1329477753af162b55830c001479c78"),
@@ -510,6 +525,54 @@ class TestCliEnumerateGuard:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == tsv_header()
         assert lines[1:] == [render_tsv_row(report_for("A2", [1], q)) for q in ([], [1])]
+
+
+# the console script's body, so the child exits as an installed `parhom` does
+CLI_CHILD = "import sys; from parhom.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def cli_child(argv, stdout):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop(LIMIT_ENV, None)
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, so a short output is written at the end
+    return subprocess.Popen([sys.executable, "-c", CLI_CHILD, *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env=env)
+
+
+class TestCliOutputFailures:
+    """A failed write of stdout exits 5: quietly when the reader closed the
+    pipe, else with one error line.  An exception `main` does not name
+    exits 4 with one line."""
+
+    def test_closed_pipe_stops_quietly(self):
+        # 16,256 rows, far past the pipe's buffer, so the child is still writing
+        proc = cli_child(["enumerate", "--type", "E7"], subprocess.PIPE)
+        assert proc.stdout.readline().decode() == tsv_header() + "\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 5
+        assert err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--type", "A2", "--p", "1", "--q", "2"],
+        ["analyze", "--type", "E6", "--p", "1", "--q", "2", "--json"],
+        ["enumerate", "--type", "E6", "--with-chains", "--format", "json"],
+    ])
+    def test_full_device_exits5_with_one_line(self, argv):
+        with open("/dev/full", "w") as full:
+            proc = cli_child(argv, full)
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 5
+        assert err == "error: cannot write stdout: No space left on device\n"
+
+    def test_unnamed_exception_exit4_with_one_line(self, capsys, monkeypatch):
+        def broken(*a, **kw):
+            raise KeyError("forced for the exit-code test")
+        monkeypatch.setattr("parhom.cli.build_report", broken)
+        assert main(["analyze", "--type", "A2", "--p", "1", "--q", "2"]) == 4
+        assert capsys.readouterr().err == \
+            "internal error: KeyError('forced for the exit-code test')\n"
 
 
 class TestCliRankBound:

@@ -352,11 +352,12 @@ class TestWeightOrbit:
     @pytest.mark.parametrize("spec", ["A40", "D40"])
     def test_multi_word_keys_equal_the_lexsort_build(self, spec, monkeypatch):
         # M = 2 for A40 psi_p = {1, 2} (its {1} is closed form), M = 1 for D40
-        # psi_p = {1}, and (2M+1)**40 > 2**62: the keys take two words
+        # psi_p = {1}, and 40 digits of bit_length(2M) bits exceed 62 bits:
+        # the keys take two words
         rs = rs_for(spec)
         psi_p = {"A40": [1, 2], "D40": [1]}[spec]
         bound = int(rs.positive_coroots[:, [v - 1 for v in psi_p]].sum(axis=1).max())
-        assert (2 * bound + 1) ** 40 > 1 << 62 > (2 * bound + 1) ** 20
+        assert 40 * (2 * bound).bit_length() > 62 >= 20 * (2 * bound).bit_length()
         words = set()
 
         def spy(m, keys, step):
@@ -370,6 +371,23 @@ class TestWeightOrbit:
                 assert chain_analysis(pair, max_k).reachable_sizes == \
                     full_orbit_sizes(pair, max_k), (q, max_k)
         assert words == {2}
+
+    @pytest.mark.parametrize("spec,words", [("A20", 1), ("A21", 2)])
+    def test_keys_take_a_second_word_past_62_bits(self, spec, words, monkeypatch):
+        # psi_p = {1, 2} has M = 2, so a digit takes 3 bits: 20 digits fill
+        # 60 bits of one word, and 21 need two
+        rs = rs_for(spec)
+        seen = set()
+
+        def spy(m, keys, step):
+            seen.add(1 if keys.ndim == 1 else keys.shape[1])
+            return rootweyl.reflection_closure(m, keys, step)
+
+        monkeypatch.setattr(connectivity, "reflection_closure", spy)
+        for q in ([3], [3, rs.diagram.n]):
+            pair = ParabolicPair(rs.diagram, [1, 2], q)
+            assert chain_analysis(pair).reachable_sizes == full_orbit_sizes(pair), q
+        assert seen == {words}
 
     def test_build_stops_at_the_end_of_the_table(self, monkeypatch):
         # |W_R/W_P| taken as 20 for the 27 points of E6 psi_p = {1}: the scan
