@@ -148,14 +148,16 @@ def main(argv=None) -> int:
             args.weyl_limit = _positive_int(env) if env else DEFAULT_WEYL_LIMIT
         except argparse.ArgumentTypeError as exc:
             parser.error(f"{LIMIT_ENV}: {exc}")
+    if sys.stdout is None:  # started with fd 1 closed: print would drop every line
+        print("error: cannot write stdout: it is closed", file=sys.stderr)
+        return EXIT_OUTPUT
     try:
         try:
             if args.command == "analyze":
                 return cmd_analyze(args)
             return cmd_enumerate(args)
         finally:  # a failed write surfaces here, not at interpreter exit
-            if sys.stdout is not None:  # None when started with fd 1 closed
-                sys.stdout.flush()
+            sys.stdout.flush()
     except BrokenPipeError:  # the reader closed stdout
         _discard_stdout()
         return EXIT_OUTPUT

@@ -17,7 +17,7 @@ from enum import Enum
 
 from .dynkin import DynkinDiagram, Marking, diagram_involution_table
 from .geometry import ParabolicPair, dim_flag, levi_split
-from .rootweyl import DEFAULT_WEYL_LIMIT, GuardLimitError, reflection_closure, weyl_order
+from .rootweyl import DEFAULT_WEYL_LIMIT, GuardLimitError, orbit_counts, weyl_order
 
 
 class ConsistencyError(RuntimeError):
@@ -98,17 +98,14 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit: int = DEFAU
     `with_sizes` also counts |S_j|: |W_P| at j = 0, |W_R| where l(x_j) =
     |Phi+_R|, and the levels between as points of the orbit W_R/W_P, by
     the subword property (Bjorner-Brenti 2.2.2) on the letters of x_j, as
-    x_j^-1 = x_j (`_scan`).  The guard counts |W/W_P| either way, against
-    `weyl_limit` as given: no environment is read.  A plain function of its
-    arguments: nothing is memoised, and a sweep calls it once per reduced
-    pair (`report.PsiPContext`)."""
+    x_j^-1 = x_j (`rootweyl.orbit_counts`).  The guard counts |W_R/W_P|
+    when a level is scanned, before anything is allocated, against
+    `weyl_limit` as given: no environment is read.  A plain function of
+    its arguments: nothing is memoised, and a sweep calls it once per
+    reduced pair (`report.PsiPContext`)."""
     if max_k < 1:
         raise ValueError("max_k must be positive")
     d, rs = pair.diagram, pair.roots
-    stabilizer = weyl_order(rs, pair.psi_p)
-    orbit_size = weyl_order(rs) // stabilizer
-    if orbit_size > weyl_limit:
-        raise GuardLimitError(orbit_size, weyl_limit, "orbit size |W/W_P|")
     # the Levi generators as columns: the unmarked nodes
     p_gens, q_gens = ([i for i in range(d.n) if i + 1 not in psi]
                       for psi in (pair.psi_p, pair.psi_q))
@@ -119,13 +116,21 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit: int = DEFAU
     sizes = ()
     if with_sizes:
         levi = pair.intersection_marking
-        levi_order = weyl_order(rs, levi)
+        stabilizer, levi_order = weyl_order(rs, pair.psi_p), weyl_order(rs, levi)
         # the levels below |Phi+_R|, a prefix, as the lengths rise until they stop there
         scanned = sum(x < rs.num_positive - dim_flag(rs, levi) for x in lengths[1:])
         sizes = (stabilizer,)
         if scanned:
+            size = levi_order // stabilizer
+            if size > weyl_limit:
+                raise GuardLimitError(size, weyl_limit, "scanned orbit |W_R/W_P|")
+            # S_j*lambda_P = U_k at k = l(x_j) - l(x_0), a point per coset w*W_P
             ends = [x - lengths[0] for x in lengths[1:scanned + 1]]
-            sizes = _scan(pair, letters, ends, stabilizer, levi_order // stabilizer)
+            *counts, reached = orbit_counts(rs, pair.psi_p, letters, ends, size)
+            if reached != size:
+                raise ConsistencyError(f"orbit has {reached} points, not |W_R/W_P| = {size}, "
+                                       f"on {_where(pair)}")
+            sizes += tuple(c * stabilizer for c in counts)
             if any(a >= b for a, b in zip(sizes, sizes[1:] + (levi_order,))):
                 raise ConsistencyError(
                     f"orbit scan disagrees with the Demazure lengths on {_where(pair)}")
@@ -189,65 +194,6 @@ def _lengths(rs, p_gens: list[int], q_gens: list[int], max_k: int,
     if letters is not None:
         star(p_gens + q_gens)
     return lengths
-
-
-def _scan(pair: ParabolicPair, letters: list[int], ends: list[int], stabilizer: int,
-          size: int) -> tuple:
-    """(|S_0|, |S_1|, ...), |S_j| once l(x_j) - l(x_0) letters, the j-th of
-    `ends`, are read.  x_j is a Demazure product of involutions, so x_j^-1 =
-    x_j, and by the subword property (Bjorner-Brenti 2.2.2) S_j*lambda_P is
-    U_k, k = l(x_j) - l(x_0), for U_0 = {lambda_P}, fixed by W_P, and U_k =
-    U_{k-1} | s_a*U_{k-1} for the k-th letter a.  The points are cosets
-    w*W_P, so |S_j| = |U_k| * |W_P|.
-
-    A point is its Dynkin-label vector m, and s_a maps it to m_j - m_a*C[a][j].
-    The points are kept in the order added, as exact keys only: the digits
-    m_j + M, node 1 first, each `bits` = bit_length(2M) wide, in as many
-    words below 2**62 as n digits need, where M, the largest <lambda_P,
-    beta^v> over positive coroots, bounds every |m_j|.  So m_a decodes as
-    (key >> shift_a & mask) - M.  When one word holds all n digits (every
-    exceptional diagram at any psi_p), the keys are a flat array, one int
-    per point; else rows, one column per word.  U is s_a-closed after each
-    letter a, so the next a reads only the points added since, decoding
-    their m_a (`reflection_closure`).  The letters end at w_0(R), so U must
-    end with all `size` = |W_R/W_P| points; nothing is written past them."""
-    import numpy as np
-    rs, n = pair.roots, pair.diagram.n
-    cols = [v - 1 for v in pair.psi_p]
-    bound = int(rs.positive_coroots[:, cols].sum(axis=1).max())
-    bits = (2 * bound).bit_length()
-    mask = (1 << bits) - 1
-    width = min(n, 62 // bits)  # digits per word
-    shifts = [bits * (width - 1 - j % width) for j in range(n)]
-    place = np.zeros((n, -(-n // width)), dtype=np.int64)  # a row per node, a column per word
-    for j in range(n):
-        place[j, j // width] = 1 << shifts[j]
-    if width == n:
-        place = place[:, 0]  # flat keys
-    # s_a moves a key by -m_a * row a; int64 wraps, but every key fits
-    steps = rs.cartan.astype(np.int64) @ place
-    keys = np.empty((size, *place.shape[1:]), dtype=np.int64)
-    keys[0] = (np.bincount(cols, minlength=n) + bound) @ place
-    closed = [0] * n  # per node a: the point count when U was last s_a-closed
-    count, counts = 1, [1]
-    for k, a in enumerate(letters, 1):
-        if closed[a] < count:  # else U is still s_a-closed
-            rows = keys[closed[a]:count]
-            m = (rows if width == n else rows[:, a // width]) >> shifts[a] & mask
-            m -= bound
-            new = reflection_closure(m, rows, steps[a])
-            end = count + len(new)
-            if end > size:  # stop before writing past the keys
-                count = end
-                break
-            keys[count:end] = new
-            count = closed[a] = end
-        if k in ends:
-            counts.append(count)
-    if count != size:
-        raise ConsistencyError(f"orbit has {count} points, not |W_R/W_P| = {size}, "
-                               f"on {_where(pair)}")
-    return tuple(c * stabilizer for c in counts)
 
 
 class BoundaryClass(Enum):

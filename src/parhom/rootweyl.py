@@ -1,20 +1,21 @@
-"""Root systems, Weyl-group orders and the step of the weight-orbit scan.
+"""Root systems, Weyl-group orders and the weight-orbit scan.
 
 Positive roots are integer coordinate vectors in the simple-root basis,
 graded by height, then lexicographic.  Weyl-group orders are read off
 their heights (`weyl_order`), with no classification of the diagram.  W/W_P
 is the orbit of lambda_P = sum of the fundamental weights of a marking.
-The chain scan (`connectivity._scan`) counts the sizes it has no closed
-form for on the points of W_R/W_P it reaches, held as packed keys, with
-one `reflection_closure` per letter of a reduced word; no orbit table is
+The chain scan (`orbit_counts`) counts the sizes it has no closed form for
+on the points of W_R/W_P it reaches, held as packed keys, with one
+`reflection_closure` per letter of a reduced word; no orbit table is
 built.  Oracles: the permutation model of W, the lexsort table of W/W_P
 with its mask scan, and the dense root closure (`tests/weyl_oracle.py`).
-numpy is imported by the scan only, so it loads only to count a chain
-level strictly between W_P and W_R (`analyze --chain-length`, JSON chain
-sweeps).
+numpy is imported here only, by the scan, so it loads only to count a
+chain level strictly between W_P and W_R (`analyze --chain-length`, JSON
+chain sweeps).
 
-Chain scans run behind a guard limit on |W/W_P| (default 10**6 points) so
-desk-scale runs stay desk-scale; only the CLI reads PARHOM_WEYL_LIMIT.
+A scan runs behind a guard limit on the |W_R/W_P| points it would hold
+(default 10**6), checked by `connectivity.chain_analysis` before anything
+is allocated; only the CLI reads PARHOM_WEYL_LIMIT.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ DEFAULT_WEYL_LIMIT = 10 ** 6
 
 
 class GuardLimitError(RuntimeError):
-    """Raised when a Weyl group, orbit, closure or sweep would exceed the
-    guard; `quantity` names what was counted."""
+    """Raised when a scanned orbit or a sweep would exceed the guard;
+    `quantity` names what was counted."""
 
     def __init__(self, estimated: int, limit: int, quantity: str):
         super().__init__(f"{quantity} {estimated} exceeds guard limit {limit}")
@@ -84,12 +85,6 @@ class RootSystem:
         self.flag_dims, self.levi_splits, self.cycles, self.weyl_orders = {}, {}, {}, {}
 
     @cached_property
-    def cartan(self) -> np.ndarray:
-        """`cartan_rows` as an int16 array, for the chain scan."""
-        import numpy as np
-        return np.array(self.cartan_rows, dtype=np.int16)
-
-    @cached_property
     def positive_coroots(self) -> np.ndarray:
         """The positive roots of the transposed Cartan matrix, one per row."""
         import numpy as np
@@ -132,11 +127,9 @@ def reflection_closure(m: np.ndarray, keys: np.ndarray, step: int | np.ndarray) 
     (`m` holds m_a per point) that are not points themselves.  The points
     are those added to a set since it was last s_a-closed, so an image is
     never an earlier point, as s_a maps those among themselves, and an image
-    that is a point has m_a < 0.  `step` is the key of s_a's move per unit
-    of m_a, and every key is below 2**62.  One-word keys are a flat array
-    and `step` an integer: the keys and images are tagged (2*key,
-    2*image + 1) and sorted once.  Keys of several words are rows, one
-    column per word, and `step` a row: they are sorted with `lexsort`."""
+    that is a point has m_a < 0.  Keys and `step`, the key of s_a's move
+    per unit of m_a, are laid out as in `orbit_counts`.  Flat keys are
+    tagged (2*key, 2*image + 1) and sorted once; rows with `lexsort`."""
     import numpy as np
     up = m > 0
     if keys.ndim == 1:
@@ -154,3 +147,60 @@ def reflection_closure(m: np.ndarray, keys: np.ndarray, step: int | np.ndarray) 
     keys, new = keys[order], up[order]
     new[1:] &= (keys[1:] != keys[:-1]).any(axis=1)
     return keys[new]
+
+
+def orbit_counts(rs: RootSystem, psi_p, letters: list[int], ends: list[int],
+                 size: int) -> tuple[int, ...]:
+    """The point count of U_k at each k in `ends`, then the count reached:
+    U_0 = {lambda_P}, the weight of `psi_p`, and U_k = U_{k-1} | s_a*U_{k-1}
+    for the k-th letter a (a node index) of `letters`.  The letters must
+    end at w_0(R), so U ends with `size` = |W_R/W_P| points; nothing is
+    written past them, and a count past `size` is returned.
+
+    The key layout.  A point is its Dynkin-label vector m, and s_a maps it
+    to m_j - m_a*C[a][j].  Its key holds the digits m_j + M, node 1 first,
+    each `bits` = bit_length(2M) wide, in as many words below 2**62 as n
+    digits need, where M, the largest <lambda_P, beta^v> over positive
+    coroots, bounds every |m_j|.  So m_a is (key >> shift_a & mask) - M,
+    and s_a moves a key by -m_a times the key of row a of C.  When one
+    word holds all n digits (every exceptional diagram at any psi_p), the
+    keys are a flat array; else rows, one column per word.  The points are
+    kept in the order added.  U is s_a-closed after each letter a, so the
+    next a reads only the points added since (`reflection_closure`).
+
+    >>> from parhom import parse_diagram_spec
+    >>> orbit_counts(generate_roots(parse_diagram_spec("A2")), [1], [0, 1], [1], 3)
+    (2, 3)
+    """
+    import numpy as np
+    n = rs.diagram.n
+    cols = [v - 1 for v in psi_p]
+    bound = int(rs.positive_coroots[:, cols].sum(axis=1).max())
+    bits = (2 * bound).bit_length()
+    mask = (1 << bits) - 1
+    width = min(n, 62 // bits)  # digits per word
+    shifts = [bits * (width - 1 - j % width) for j in range(n)]
+    place = np.zeros((n, -(-n // width)), dtype=np.int64)  # a row per node, a column per word
+    for j in range(n):
+        place[j, j // width] = 1 << shifts[j]
+    if width == n:
+        place = place[:, 0]  # flat keys
+    steps = np.array(rs.cartan_rows, dtype=np.int64) @ place  # int64 wraps, but every key fits
+    keys = np.empty((size, *place.shape[1:]), dtype=np.int64)
+    keys[0] = (np.bincount(cols, minlength=n) + bound) @ place
+    closed = [0] * n  # per node a: the point count when U was last s_a-closed
+    count, counts = 1, []
+    for k, a in enumerate(letters, 1):
+        if closed[a] < count:  # else U is still s_a-closed
+            rows = keys[closed[a]:count]
+            m = (rows if width == n else rows[:, a // width]) >> shifts[a] & mask
+            m -= bound
+            new = reflection_closure(m, rows, steps[a])
+            end = count + len(new)
+            if end > size:  # stop before writing past the keys
+                return (*counts, end)
+            keys[count:end] = new
+            count = closed[a] = end
+        if k in ends:
+            counts.append(count)
+    return (*counts, count)

@@ -94,7 +94,7 @@ def test_tsv_chain_sweep_builds_no_orbit(monkeypatch):
     def refuse(*args):
         raise AssertionError("a TSV chain sweep scanned an orbit")
 
-    monkeypatch.setattr(connectivity, "_scan", refuse)
+    monkeypatch.setattr(connectivity, "orbit_counts", refuse)
     generate_roots.cache_clear()  # from a cold root cache, as a CLI run starts
     command = "enumerate --type E6 --with-chains"
     out = io.StringIO()

@@ -275,15 +275,17 @@ class TestChainAnalysis:
         assert res.connected is None and res.minimal_n is None
 
     def test_guard(self):
-        pair = pair_of("E8", range(1, 9), [1])
+        pair = pair_of("E8", [1, 2, 3, 5, 6, 7, 8], [4])  # connected, so W_R/W_P = W/W_P
         with pytest.raises(GuardLimitError) as exc:
             chain_analysis(pair)
-        assert exc.value.estimated == 696729600
-        assert "orbit size" in str(exc.value)
+        assert exc.value.estimated == 348364800
+        assert "scanned orbit" in str(exc.value)
+        # every level of the E8 Borel vs {1} is closed form: nothing is scanned
+        assert chain_analysis(pair_of("E8", range(1, 9), [1]), weyl_limit=1).connected is False
 
     def test_guard_reads_no_environment(self, monkeypatch):
         monkeypatch.setenv("PARHOM_WEYL_LIMIT", "3")
-        pair = pair_of("A3", [1], [2])  # |W/W_P| = 4
+        pair = pair_of("B2", [1], [2])  # |W_R/W_P| = 4, scanned
         assert chain_analysis(pair) == chain_analysis(pair, weyl_limit=4)
         with pytest.raises(GuardLimitError):
             chain_analysis(pair, weyl_limit=3)
@@ -291,8 +293,8 @@ class TestChainAnalysis:
     def test_guard_message_names_no_cli_knob(self):
         # the flag and the variable exist at the CLI only, which adds them
         with pytest.raises(GuardLimitError) as exc:
-            chain_analysis(pair_of("A3", [1], [2]), weyl_limit=3)
-        assert str(exc.value) == "orbit size |W/W_P| 4 exceeds guard limit 3"
+            chain_analysis(pair_of("B2", [1], [2]), weyl_limit=3)
+        assert str(exc.value) == "scanned orbit |W_R/W_P| 4 exceeds guard limit 3"
 
     @pytest.mark.parametrize("spec", ["A3", "B3", "C3", "G2", "B4", "F4", "D4", "A2xG2"])
     def test_matches_permutation_scan_on_every_pair(self, spec):
@@ -447,12 +449,13 @@ class TestChainAnalysis:
             (full.connected, full.minimal_n, full.reachable_dims, full.complete)
 
 
-# orbit sizes of D5 (1,5) vs (3): the scan gives (24, 552, 1728), and the
-# level where the lengths reach |Phi+| is |W| = 1920 in closed form; the
-# scanned sizes bent one way each
+# orbit sizes of D5 (1,5) vs (3): |W_P| = 24, the scan counts (23, 72)
+# points at its two levels, reaching all 80 of W/W_P, and the level where
+# the lengths reach |Phi+| is |W| = 1920 in closed form; the scanned counts
+# bent one way each
 SKEWS = {
-    "flat level": lambda s: (s[0], s[0]) + s[2:],  # grows where the lengths do not
-    "short of W": lambda s: s[:-1] + (1920,),  # reaches |W| a level short of |Phi+|
+    "flat level": lambda c: (1,) + c[1:],  # grows where the lengths do not
+    "short of W": lambda c: c[:-2] + (80, 80),  # reaches |W| a level short of |Phi+|
 }
 
 
@@ -465,8 +468,8 @@ def cold_roots():
 
 @pytest.mark.parametrize("skew", sorted(SKEWS))
 def test_orbit_sizes_must_follow_the_lengths(monkeypatch, capsys, cold_roots, skew):
-    real = connectivity._scan
-    monkeypatch.setattr(connectivity, "_scan", lambda *args: SKEWS[skew](real(*args)))
+    real = connectivity.orbit_counts
+    monkeypatch.setattr(connectivity, "orbit_counts", lambda *args: SKEWS[skew](real(*args)))
     pair = pair_of("D5", [1, 5], [3])
     assert chain_analysis(pair, with_sizes=False).minimal_n == 3  # no orbit, no sizes
     with pytest.raises(ConsistencyError, match="Demazure lengths"):

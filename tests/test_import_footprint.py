@@ -5,6 +5,7 @@ Each case runs the CLI in a fresh interpreter, since this test process has
 numpy loaded already, and reads back whether `numpy` was imported.  The
 largest E7 scan also reads back its peak RSS."""
 
+import ast
 import hashlib
 import json
 import os
@@ -106,9 +107,9 @@ def test_tsv_chain_table_loads_no_numpy():
 
 def test_guard_refusal_loads_no_numpy():
     code, out, err, numpy_loaded = run_child(
-        "analyze", "--type", "E8", "--p", "1,2,3,4,5,6,7,8", "--q", "1", "--chain-length")
+        "analyze", "--type", "E8", "--p", "1,2,3,5,6,7,8", "--q", "4", "--chain-length")
     assert (code, out, numpy_loaded) == (3, b"", False)
-    assert err == ["error: orbit size |W/W_P| 696729600 exceeds guard limit 1000000; "
+    assert err == ["error: scanned orbit |W_R/W_P| 348364800 exceeds guard limit 1000000; "
                    "raise --weyl-limit or PARHOM_WEYL_LIMIT"]
 
 
@@ -155,3 +156,17 @@ def test_largest_e7_scan_fits_its_memory_target():
     assert (code, err, numpy_loaded) == (0, [], True)
     assert hashlib.sha256(out).hexdigest() == REPORT_DIGESTS[command]
     assert peak_mib <= 110
+
+
+def test_only_rootweyl_imports_numpy():
+    """`import numpy` or `from numpy import ...` in a module of the package,
+    found by its syntax tree, a `TYPE_CHECKING` import included."""
+    def imports_numpy(node):
+        if isinstance(node, ast.Import):
+            return any(alias.name.partition(".")[0] == "numpy" for alias in node.names)
+        return (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.partition(".")[0] == "numpy")
+
+    importers = {path.name for path in (ROOT / "src" / "parhom").glob("*.py")
+                 if any(map(imports_numpy, ast.walk(ast.parse(path.read_text()))))}
+    assert importers == {"rootweyl.py"}

@@ -245,7 +245,7 @@ def test_weyl_orders_warm_equal_cold(spec):
 def test_bad_nodes_raise_against_a_warm_weyl_order_table():
     d = parse_diagram_spec("E6")
     generate_roots.cache_clear()
-    run_cli(["enumerate", "--type", "E6", "--with-chains"])
+    run_cli(["enumerate", "--type", "E6", "--with-chains", "--format", "json"])  # counts sizes
     table = generate_roots(d).weyl_orders
     warm = dict(table)
     assert 0 < len(warm) <= 2 ** 6
@@ -370,17 +370,18 @@ def test_truncated_scan_is_not_served_from_the_full_entry():
 
 
 def test_guard_holds_on_a_warm_memo():
-    # a context at the default limit fills `weyl_orders` for the D5 Borel
-    # (1,920 points); one at 1,919 reads them warm and still refuses
+    # a context at the default limit fills `weyl_orders` for D5 psi_p =
+    # {1,2,4,5} vs {3} (a scan of 960 points); one at 959 reads them warm
+    # and still refuses
     d = parse_diagram_spec("D5")
     generate_roots.cache_clear()
-    borel = Marking(range(1, 6))
-    assert build_report(PsiPContext(d, borel, with_chains=True), [2]).chains.connected is False
-    assert borel in generate_roots(d).weyl_orders
-    strict = PsiPContext(d, borel, with_chains=True, weyl_limit=1919)
+    psi_p = Marking([1, 2, 4, 5])
+    assert build_report(PsiPContext(d, psi_p, with_chains=True), [3]).chains.connected is True
+    assert psi_p in generate_roots(d).weyl_orders
+    strict = PsiPContext(d, psi_p, with_chains=True, weyl_limit=959)
     with pytest.raises(GuardLimitError) as exc:
-        build_report(strict, [2])
-    assert exc.value.estimated == 1920 and not strict.chains
+        build_report(strict, [3])
+    assert exc.value.estimated == 960 and not strict.chains
 
 
 def test_memo_goes_with_the_orbit_slot():

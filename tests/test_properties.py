@@ -101,8 +101,8 @@ def test_cycle_depends_only_on_the_reduction(case):
     assert (full.type_string, full.marking, full.dim) == (red.type_string, red.marking, red.dim)
 
 
-# the guard still counts |W/W_P|; without sizes no orbit is built, so the
-# E8 Borel's 696,729,600 cosets are admitted
+# without sizes no orbit is scanned, so no limit applies: the E8 Borel
+# runs at any limit
 @PROPERTY_SETTINGS
 @given(pairs_and_chi())
 def test_rho_lengths_match_demazure_oracle(case):

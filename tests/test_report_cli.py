@@ -252,10 +252,10 @@ class TestCliAnalyze:
         assert "unknown family" in capsys.readouterr().err
 
     def test_guard_exit3(self, capsys):
-        assert main(["analyze", "--type", "E8", "--p", "1,2,3,4,5,6,7,8", "--q", "1",
+        assert main(["analyze", "--type", "E8", "--p", "1,2,3,5,6,7,8", "--q", "4",
                      "--chain-length"]) == 3
         err = capsys.readouterr().err
-        assert "696729600" in err and "1000000" in err
+        assert "348364800" in err and "1000000" in err
 
     @pytest.mark.parametrize("flag", ["--weyl-limit", "--max-k", "PARHOM_WEYL_LIMIT"])
     @pytest.mark.parametrize("value", ["-5", "0"])
@@ -375,7 +375,7 @@ class TestCliEnumerate:
 
 
 class TestCliBoundary:
-    ORBIT_4 = ["analyze", "--type", "A3", "--p", "1", "--q", "2", "--chain-length"]
+    ORBIT_4 = ["analyze", "--type", "B2", "--p", "1", "--q", "2", "--chain-length"]
 
     @pytest.mark.parametrize("value", ["-5", "0", "abc"])
     def test_bad_env_limit_exit2(self, capsys, monkeypatch, value):
@@ -389,7 +389,7 @@ class TestCliBoundary:
     def test_env_limit_applies(self, capsys, monkeypatch):
         monkeypatch.setenv("PARHOM_WEYL_LIMIT", "3")
         assert main(self.ORBIT_4) == 3
-        assert "orbit size |W/W_P| 4 exceeds guard limit 3" in capsys.readouterr().err
+        assert "scanned orbit |W_R/W_P| 4 exceeds guard limit 3" in capsys.readouterr().err
 
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("PARHOM_WEYL_LIMIT", "3")
@@ -397,7 +397,7 @@ class TestCliBoundary:
 
     def test_empty_env_gives_the_default(self, capsys, monkeypatch):
         monkeypatch.setenv("PARHOM_WEYL_LIMIT", "")
-        assert main(["analyze", "--type", "E8", "--p", "1,2,3,4,5,6,7,8", "--q", "1",
+        assert main(["analyze", "--type", "E8", "--p", "1,2,3,5,6,7,8", "--q", "4",
                      "--chain-length"]) == 3
         assert "exceeds guard limit 1000000;" in capsys.readouterr().err
 
@@ -531,12 +531,12 @@ class TestCliEnumerateGuard:
 CLI_CHILD = "import sys; from parhom.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def cli_child(argv, stdout):
+def cli_child(argv, stdout, **popen):
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop(LIMIT_ENV, None)
     env.pop("PYTHONUNBUFFERED", None)  # buffered, so a short output is written at the end
     return subprocess.Popen([sys.executable, "-c", CLI_CHILD, *argv], stdout=stdout,
-                            stderr=subprocess.PIPE, env=env)
+                            stderr=subprocess.PIPE, env=env, **popen)
 
 
 class TestCliOutputFailures:
@@ -565,6 +565,14 @@ class TestCliOutputFailures:
             err = proc.stderr.read().decode()
             assert proc.wait(timeout=120) == 5
         assert err == "error: cannot write stdout: No space left on device\n"
+
+    def test_closed_stdout_exits5_with_one_line(self):
+        # as `parhom enumerate --type A1 >&-`: Python then sets sys.stdout to
+        # None, and print would drop every line
+        proc = cli_child(["enumerate", "--type", "A1"], None, preexec_fn=lambda: os.close(1))
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 5
+        assert err == "error: cannot write stdout: it is closed\n"
 
     def test_unnamed_exception_exit4_with_one_line(self, capsys, monkeypatch):
         def broken(*a, **kw):

@@ -83,7 +83,7 @@ class PermTables:
         size = 2 * m
         dtype = np.int16 if size < 2 ** 15 else np.int32
         # s_i(c) = c - <c, alpha_i^vee> alpha_i, the pairing read off column i
-        pairing = coords @ rs.cartan.astype(np.int64)
+        pairing = coords @ np.array(rs.cartan_rows, dtype=np.int64)
         perms = np.empty((n, size), dtype=dtype)
         for i in range(n):
             images = coords.copy()
@@ -385,7 +385,7 @@ def lexsort_orbit_neighbours(rs: RootSystem, marking) -> np.ndarray:
     n = rs.diagram.n
     level = np.zeros((1, n), dtype=np.int64)
     level[0, [v - 1 for v in Marking(marking).validate_on(rs.diagram)]] = 1
-    cartan = rs.cartan.astype(np.int64)
+    cartan = np.array(rs.cartan_rows, dtype=np.int64)
     # every point its own neighbour until a move says otherwise
     blocks = [np.zeros((1, n), dtype=np.intp)]
     start = 0
