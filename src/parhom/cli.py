@@ -22,7 +22,7 @@ import sys
 from functools import cache
 from itertools import chain, combinations
 
-from .connectivity import ConsistencyError
+from .connectivity import DEFAULT_MAX_K, ConsistencyError
 from .dynkin import (DiagramError, DynkinDiagram, Marking, RankLimitError,
                      parse_diagram_spec)
 from .report import (PsiPContext, build_report, render_json, render_text,
@@ -36,7 +36,7 @@ EXIT_INTERNAL = 4
 EXIT_OUTPUT = 5
 
 LIMIT_ENV = "PARHOM_WEYL_LIMIT"
-MAX_K_HELP = "chain scan cutoff (default 32)"
+MAX_K_HELP = f"chain scan cutoff (default {DEFAULT_MAX_K})"
 WEYL_LIMIT_HELP = (f"guard limit on orbit sizes and sweep pair counts; overrides {LIMIT_ENV} "
                    "(default: that variable if set and non-empty, else 10^6)")
 
@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--q", required=True, help="psi_q nodes ('-' for empty)")
     ana.add_argument("--chain-length", action="store_true",
                      help="run the Weyl reachability scan for the minimal chain length")
-    ana.add_argument("--max-k", type=_positive_int, default=32, help=MAX_K_HELP)
+    ana.add_argument("--max-k", type=_positive_int, default=DEFAULT_MAX_K, help=MAX_K_HELP)
     ana.add_argument("--json", action="store_true", help="emit the parhom/1 JSON report")
     ana.add_argument("--weyl-limit", type=_positive_int, default=None, help=WEYL_LIMIT_HELP)
 
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     enu.add_argument("--format", choices=("json", "tsv"), default="tsv",
                      help="one parhom/1 JSON report per line, or TSV rows under a header "
                           "(default tsv)")
-    enu.add_argument("--max-k", type=_positive_int, default=32, help=MAX_K_HELP)
+    enu.add_argument("--max-k", type=_positive_int, default=DEFAULT_MAX_K, help=MAX_K_HELP)
     enu.add_argument("--weyl-limit", type=_positive_int, default=None, help=WEYL_LIMIT_HELP)
     return parser
 

@@ -19,6 +19,8 @@ from .dynkin import DynkinDiagram, Marking, diagram_involution_table
 from .geometry import ParabolicPair, dim_flag, levi_split
 from .rootweyl import DEFAULT_WEYL_LIMIT, GuardLimitError, orbit_counts, weyl_order
 
+DEFAULT_MAX_K = 32
+
 
 class ConsistencyError(RuntimeError):
     """A cross-checked identity failed; indicates an implementation bug or
@@ -88,45 +90,42 @@ class ChainAnalysis:
     complete: bool
 
 
-def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit: int = DEFAULT_WEYL_LIMIT,
-                   with_sizes: bool = True) -> ChainAnalysis:
+def chain_analysis(pair: ParabolicPair, max_k: int = DEFAULT_MAX_K,
+                   weyl_limit: int = DEFAULT_WEYL_LIMIT, with_sizes: bool = True) -> ChainAnalysis:
     """The level sets as Bruhat intervals S_j = [e, x_j], x_0 = w_0(P) and
     x_j = x_{j-1} * w_0(Q) * w_0(P) (Demazure products; Bjorner-Brenti 2.2):
     `minimal_n` is the first j >= 1 with l(x_j) = |Phi+|, so one level is
     scanned even when x_0 is already w_0, and the top cell of S_j has
-    dimension l(x_j) - l(x_0).  x_j lies in the Levi W_R, R = psi_p & psi_q.
-    `with_sizes` also counts |S_j|: |W_P| at j = 0, |W_R| where l(x_j) =
-    |Phi+_R|, and the levels between as points of the orbit W_R/W_P, by
-    the subword property (Bjorner-Brenti 2.2.2) on the letters of x_j, as
-    x_j^-1 = x_j (`rootweyl.orbit_counts`).  The guard counts |W_R/W_P|
-    when a level is scanned, before anything is allocated, against
-    `weyl_limit` as given: no environment is read.  A plain function of
-    its arguments: nothing is memoised, and a sweep calls it once per
-    reduced pair (`report.PsiPContext`)."""
+    dimension l(x_j) - l(x_0).  Each x_j is a prefix of the word of w_0(R),
+    R = psi_p & psi_q, that `_lengths` returns.  `with_sizes` also counts
+    |S_j|: |W_P| at j = 0, |W_R| where x_j is the whole word, and the levels
+    before as points of W_R/W_P, by the subword property (Bjorner-Brenti
+    2.2.2) on the word after x_0, as x_j^-1 = x_j (`rootweyl.orbit_counts`),
+    guarded on |W_R/W_P| against `weyl_limit` before anything is allocated.
+    The one home of the options' defaults; reads no environment, memoises
+    nothing (a sweep calls it once per reduced pair, `report.PsiPContext`)."""
     if max_k < 1:
         raise ValueError("max_k must be positive")
     d, rs = pair.diagram, pair.roots
     # the Levi generators as columns: the unmarked nodes
     p_gens, q_gens = ([i for i in range(d.n) if i + 1 not in psi]
                       for psi in (pair.psi_p, pair.psi_q))
-    letters = [] if with_sizes else None
-    lengths = _lengths(rs, p_gens, q_gens, max_k, letters)
+    lengths, word = _lengths(rs, p_gens, q_gens, max_k)
     top = lengths[-1] == rs.num_positive
     complete = top or lengths[-1] == lengths[-2]
     sizes = ()
     if with_sizes:
-        levi = pair.intersection_marking
-        stabilizer, levi_order = weyl_order(rs, pair.psi_p), weyl_order(rs, levi)
-        # the levels below |Phi+_R|, a prefix, as the lengths rise until they stop there
-        scanned = sum(x < rs.num_positive - dim_flag(rs, levi) for x in lengths[1:])
+        stabilizer = weyl_order(rs, pair.psi_p)
+        levi_order = weyl_order(rs, pair.intersection_marking)
+        # the levels short of w_0(R), a prefix; S_j*lambda_P = U_k at
+        # k = l(x_j) - l(x_0), a point per coset w*W_P
+        ends = [x - lengths[0] for x in lengths[1:] if x < len(word)]
         sizes = (stabilizer,)
-        if scanned:
+        if ends:
             size = levi_order // stabilizer
             if size > weyl_limit:
                 raise GuardLimitError(size, weyl_limit, "scanned orbit |W_R/W_P|")
-            # S_j*lambda_P = U_k at k = l(x_j) - l(x_0), a point per coset w*W_P
-            ends = [x - lengths[0] for x in lengths[1:scanned + 1]]
-            *counts, reached = orbit_counts(rs, pair.psi_p, letters, ends, size)
+            *counts, reached = orbit_counts(rs, pair.psi_p, word[lengths[0]:], ends, size)
             if reached != size:
                 raise ConsistencyError(f"orbit has {reached} points, not |W_R/W_P| = {size}, "
                                        f"on {_where(pair)}")
@@ -134,7 +133,7 @@ def chain_analysis(pair: ParabolicPair, max_k: int = 32, weyl_limit: int = DEFAU
             if any(a >= b for a, b in zip(sizes, sizes[1:] + (levi_order,))):
                 raise ConsistencyError(
                     f"orbit scan disagrees with the Demazure lengths on {_where(pair)}")
-        sizes += (levi_order,) * (len(lengths) - 1 - scanned)
+        sizes += (levi_order,) * (len(lengths) - 1 - len(ends))
 
     connected = top if complete else None
     result = ChainAnalysis(
@@ -159,41 +158,41 @@ def _where(pair: ParabolicPair) -> str:
     return f"{pair.diagram.type_string} psi_p={pair.psi_p.render()} psi_q={pair.psi_q.render()}"
 
 
-def _lengths(rs, p_gens: list[int], q_gens: list[int], max_k: int,
-             letters: list[int] | None = None) -> list[int]:
-    """[l(x_0), ..., l(x_j)], to the level that reaches |Phi+|, adds nothing or
-    is the max_k-th.  m = the Dynkin labels of x^-1(rho): x*s_i > x iff m_i > 0,
-    and its labels are m_j - m_i*C[i][j], so x * w_0(I) takes that move while
-    some i in I has m_i > 0.  `letters`, when given, gets the nodes of the
-    moves after x_0, continued over the nodes outside R = psi_p & psi_q up to
-    w_0(R) when max_k stops the chain first: x_0 and then `letters` spell a
-    reduced word of w_0(R) whose prefixes are the x_j."""
+def _lengths(rs, p_gens: list[int], q_gens: list[int], max_k: int) -> tuple[list[int], list[int]]:
+    """([l(x_0), ..., l(x_j)], word), to the level that reaches |Phi+|, adds
+    nothing or is the max_k-th.  m = the Dynkin labels of x^-1(rho): x*s_i > x
+    iff m_i > 0, and its labels are m_j - m_i*C[i][j], so x * w_0(I) takes
+    that move while some i in I has m_i > 0.  `word` is the node of every
+    move, x_0's first, run on over the nodes outside R = psi_p & psi_q: a
+    reduced word of w_0(R) whose first l(x_j) letters spell x_j.
+
+    >>> from parhom import generate_roots, parse_diagram_spec
+    >>> _lengths(generate_roots(parse_diagram_spec("A2")), [1], [0], 32)
+    ([1, 3], [1, 0, 1])
+    """
     m = [1] * rs.diagram.n
-    record = None
+    word = []
 
     def star(gens) -> int:
-        steps, before = 0, -1
-        while steps != before:
-            before = steps
+        before = -1
+        while len(word) != before:
+            before = len(word)
             for i in gens:
                 if (mi := m[i]) > 0:
                     m[i] = -mi
                     for j, c in rs.moves[i]:
                         m[j] -= mi * c
-                    steps += 1
-                    if record is not None:
-                        record.append(i)
-        return steps
+                    word.append(i)
+        return len(word)
 
     lengths = [star(p_gens)]
-    record = letters  # the moves of x_0 = w_0(P) fix lambda_P
     for _ in range(max_k):
-        lengths.append(lengths[-1] + star(q_gens) + star(p_gens))
+        star(q_gens)
+        lengths.append(star(p_gens))
         if lengths[-1] in (rs.num_positive, lengths[-2]):
             break
-    if letters is not None:
-        star(p_gens + q_gens)
-    return lengths
+    star(p_gens + q_gens)
+    return lengths, word
 
 
 class BoundaryClass(Enum):

@@ -17,7 +17,7 @@ from .connectivity import (ChainAnalysis, ConsistencyError, ExceptionFlags,
                            exception_flags, is_cycle_connected, is_separating, reduction)
 from .dynkin import DynkinDiagram, Marking, tree_path
 from .geometry import CycleDescriptor, ParabolicPair, cycle_descriptor, dim_flag
-from .rootweyl import DEFAULT_WEYL_LIMIT, generate_roots
+from .rootweyl import generate_roots
 
 SCHEMA_VERSION = "parhom/1"
 
@@ -31,19 +31,19 @@ _LINEARITY_NOTE = ("cycle linearity not computed; the tangency exception "
 
 class PsiPContext:
     """What the reports of one psi_p share: the root system, the validated
-    psi_p, dim G/P, its boundary class and the chain options; one row per
-    psi_q; and per red psi_q, on which alone the chains depend, its
-    `ChainAnalysis`."""
+    psi_p, dim G/P, its boundary class and whether to analyse chains; one
+    row per psi_q; and per red psi_q, on which alone the chains depend, its
+    `ChainAnalysis`.  `chain_options` (max_k, weyl_limit, with_sizes) go to
+    `chain_analysis` unchanged, which holds their defaults, so a misspelt
+    one raises its TypeError at the first chained row."""
 
     def __init__(self, diagram: DynkinDiagram, psi_p, with_chains: bool = False,
-                 max_k: int = 32, weyl_limit: int = DEFAULT_WEYL_LIMIT,
-                 with_sizes: bool = True):
+                 **chain_options):
         self.roots = generate_roots(diagram)
         self.psi_p = Marking(psi_p).validate_on(diagram)
         self.dim_gp = dim_flag(self.roots, self.psi_p)
         self.boundary = boundary_codim_class(diagram, self.psi_p)
-        self.with_chains, self.max_k = with_chains, max_k
-        self.weyl_limit, self.with_sizes = weyl_limit, with_sizes
+        self.with_chains, self.chain_options = with_chains, chain_options
         self.rows: dict[Marking, tuple[ParabolicPair, ReductionResult, CycleDescriptor]] = {}
         self.chains: dict[Marking, ChainAnalysis] = {}
 
@@ -64,8 +64,7 @@ class PsiPContext:
         """The chains of (psi_p, red), shared by every psi_q that reduces to red."""
         chains = self.chains.get(red)
         if chains is None:
-            chains = self.chains[red] = chain_analysis(
-                self.row(red)[0], self.max_k, self.weyl_limit, self.with_sizes)
+            chains = self.chains[red] = chain_analysis(self.row(red)[0], **self.chain_options)
         return chains
 
 
@@ -94,8 +93,9 @@ def build_report(ctx: PsiPContext, psi_q) -> AnalysisReport:
     chains = ctx.chains_of(red.reduced_marking) if ctx.with_chains else None
     flags = exception_flags(pair)
     warnings = [_LINEARITY_NOTE, *flags.notes]
-    if chains is not None and not chains.complete:
-        warnings.append(f"chain analysis truncated at max_k={ctx.max_k} before stabilization")
+    if chains is not None and not chains.complete:  # it ran max_k levels
+        warnings.append(f"chain analysis truncated at max_k={len(chains.reachable_dims) - 1} "
+                        "before stabilization")
     report = AnalysisReport(
         pair=pair,
         dim_gq=dim_flag(rs, pair.psi_q),

@@ -3,13 +3,16 @@ tables, checked against brute-force subset search, the marking criterion,
 a permutation-row chain scan, a scan of every level on the full orbit
 W/W_P, Demazure products and closed-form chain lengths."""
 
+import ast
 import random
 from functools import lru_cache
 from itertools import chain, combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import parhom
 import parhom.connectivity as connectivity
 from parhom import (BoundaryClass, ConsistencyError, GuardLimitError, LargerAutomorphismCase,
                     Marking, ParabolicPair, boundary_codim_class,
@@ -447,6 +450,26 @@ class TestChainAnalysis:
         assert full.reachable_sizes == (24, 552, 1728, 1920) and bare.reachable_sizes == ()
         assert (bare.connected, bare.minimal_n, bare.reachable_dims, bare.complete) == \
             (full.connected, full.minimal_n, full.reachable_dims, full.complete)
+
+    def test_only_chain_analysis_declares_the_chain_defaults(self):
+        """A default for `max_k`, `weyl_limit` or `with_sizes` on a function
+        of the package, found by its syntax tree: only `chain_analysis` may
+        declare one, and everything above it passes the options on."""
+        options = {"max_k", "weyl_limit", "with_sizes"}
+
+        def defaulted(fn):
+            positional = fn.args.posonlyargs + fn.args.args
+            named = positional[len(positional) - len(fn.args.defaults):] + [
+                arg for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None]
+            return options.intersection(arg.arg for arg in named)
+
+        declarers = {(path.name, node.name)
+                     for path in Path(parhom.__file__).parent.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and defaulted(node)}
+        assert declarers == {("connectivity.py", "chain_analysis")}
 
 
 # orbit sizes of D5 (1,5) vs (3): |W_P| = 24, the scan counts (23, 72)

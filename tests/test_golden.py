@@ -1,6 +1,7 @@
 """Golden outputs: `enumerate --with-chains` on A4, B3, G2 and F4 must print
 exactly what the recorded files hold (TSV byte for byte, JSON by SHA-256),
-so a change to the report schema or to any computed field shows here.  Eight
+so a change to the report schema or to any computed field shows here; the
+JSON sweep of A6 at `--max-k 2` covers rows of truncated chains.  Eight
 `analyze` text reports, one per kind of line `render_text` prints, are
 checked by SHA-256.  The TSV chain tables of E6, E7 and E8 are checked by SHA-256: E6 and E7 as
 recorded when every scan still built an orbit, and E8, the first complete

@@ -102,16 +102,25 @@ def test_cycle_depends_only_on_the_reduction(case):
 
 
 # without sizes no orbit is scanned, so no limit applies: the E8 Borel
-# runs at any limit
+# runs at any limit.  The walk's word, whose length `chain_analysis` takes
+# for l(w_0(R)), is checked against |Phi+| - dim G/P_R, and its lengths
+# against the oracle's dims
 @PROPERTY_SETTINGS
 @given(pairs_and_chi())
 def test_rho_lengths_match_demazure_oracle(case):
     pair, _ = case
+    rs, levi = pair.roots, pair.intersection_marking
+    p_gens, q_gens = ([i for i in range(pair.diagram.n) if i + 1 not in psi]
+                      for psi in (pair.psi_p, pair.psi_q))
     for max_k in (32, 2, 1):
         res = chain_analysis(pair, max_k=max_k, weyl_limit=10 ** 9, with_sizes=False)
         assert res.reachable_sizes == ()
-        assert (res.minimal_n, res.reachable_dims, res.complete) == demazure_chain_scan(
-            pair.diagram, pair.psi_p, pair.psi_q, max_k)
+        expected = demazure_chain_scan(pair.diagram, pair.psi_p, pair.psi_q, max_k)
+        assert (res.minimal_n, res.reachable_dims, res.complete) == expected
+        lengths, word = connectivity._lengths(rs, p_gens, q_gens, max_k)
+        assert len(word) == rs.num_positive - dim_flag(rs, levi)
+        assert all(a + 1 not in levi for a in word)
+        assert lengths == [lengths[0] + dim for dim in expected[1]]
 
 
 @st.composite
@@ -172,7 +181,8 @@ def test_first_length_is_the_levi_root_count(case, data):
     psi_p = data.draw(st.sets(st.integers(1, d.n)).map(Marking))
     rs = generate_roots(d)
     p_gens = [i for i in range(d.n) if i + 1 not in psi_p]
-    assert connectivity._lengths(rs, p_gens, p_gens, 1)[0] == rs.num_positive - dim_flag(rs, psi_p)
+    lengths, _ = connectivity._lengths(rs, p_gens, p_gens, 1)
+    assert lengths[0] == rs.num_positive - dim_flag(rs, psi_p)
 
 
 def chain_summary(pair):

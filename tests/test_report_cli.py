@@ -72,9 +72,23 @@ class TestReport:
         obj = report_to_dict(report_for("A3", [2], [2]))
         assert obj["cycle"]["dim"] == 0 and obj["cycle"]["is_point"] is True
 
-    def test_truncation_warning(self):
-        r = report_for("A4", [2], [3], with_chains=True, max_k=1)
-        assert any("truncated at max_k=1" in w for w in r.warnings)
+    # the warning reads max_k off the chain, which ran exactly max_k levels
+    @pytest.mark.parametrize("spec,p,q,max_k", [
+        pytest.param("A4", [2], [3], 1, id="A4-1"),
+        pytest.param("A6", [3], [2, 4], 1, id="A6-1"),
+        pytest.param("A6", [3], [2, 4], 2, id="A6-2"),
+    ])
+    def test_truncation_warning(self, spec, p, q, max_k):
+        r = report_for(spec, p, q, with_chains=True, max_k=max_k)
+        assert not r.chains.complete
+        assert [w for w in r.warnings if "truncated" in w] == [
+            f"chain analysis truncated at max_k={max_k} before stabilization"]
+
+    def test_misspelt_chain_option_raises_at_the_first_chained_row(self):
+        d = parse_diagram_spec("A3")
+        build_report(PsiPContext(d, [2], max_K=1), [1])  # no chains: the options go unread
+        with pytest.raises(TypeError, match="max_K"):
+            build_report(PsiPContext(d, [2], with_chains=True, max_K=1), [1])
 
     def test_linearity_warning_always_present(self):
         r = report_for("A2", [1], [2])
