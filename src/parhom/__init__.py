@@ -4,10 +4,10 @@ cycle-connectivity and minimal chain lengths on homogeneous flag spaces."""
 __version__ = "0.1.0"
 
 from .dynkin import (MAX_RANK, DiagramError, DynkinDiagram, Marking,
-                     RankLimitError, SimpleFactor, cartan_matrix,
-                     diagram_involution_table, induced_components,
+                     RankLimitError, SimpleFactor, cartan_matrix, induced_components,
                      parse_diagram_spec, relabel_to_standard, tree_path)
-from .rootweyl import GuardLimitError, RootSystem, generate_roots, weyl_order
+from .rootweyl import (GuardLimitError, RootSystem, diagram_involution_table,
+                       generate_roots, weyl_order)
 from .geometry import CycleDescriptor, ParabolicPair, cycle_descriptor, dim_flag
 from .connectivity import (BoundaryClass, ChainAnalysis, ConsistencyError,
                            ExceptionFlags, LargerAutomorphismCase,

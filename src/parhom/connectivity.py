@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .dynkin import DynkinDiagram, Marking, diagram_involution_table
+from .dynkin import DynkinDiagram, Marking
 from .geometry import ParabolicPair, dim_flag, levi_split
-from .rootweyl import DEFAULT_WEYL_LIMIT, GuardLimitError, orbit_counts, weyl_order
+from .rootweyl import (DEFAULT_WEYL_LIMIT, GuardLimitError, RootSystem, descend,
+                       diagram_involution_table, orbit_counts, weyl_order)
 
 DEFAULT_MAX_K = 32
 
@@ -161,10 +162,9 @@ def _where(pair: ParabolicPair) -> str:
 def _lengths(rs, p_gens: list[int], q_gens: list[int], max_k: int) -> tuple[list[int], list[int]]:
     """([l(x_0), ..., l(x_j)], word), to the level that reaches |Phi+|, adds
     nothing or is the max_k-th.  m = the Dynkin labels of x^-1(rho): x*s_i > x
-    iff m_i > 0, and its labels are m_j - m_i*C[i][j], so x * w_0(I) takes
-    that move while some i in I has m_i > 0.  `word` is the node of every
-    move, x_0's first, run on over the nodes outside R = psi_p & psi_q: a
-    reduced word of w_0(R) whose first l(x_j) letters spell x_j.
+    iff m_i > 0, so x * w_0(I) is `descend` on I.  `word` holds its moves,
+    x_0's first, run on over the nodes outside R = psi_p & psi_q: a reduced
+    word of w_0(R) whose first l(x_j) letters spell x_j.
 
     >>> from parhom import generate_roots, parse_diagram_spec
     >>> _lengths(generate_roots(parse_diagram_spec("A2")), [1], [0], 32)
@@ -172,26 +172,15 @@ def _lengths(rs, p_gens: list[int], q_gens: list[int], max_k: int) -> tuple[list
     """
     m = [1] * rs.diagram.n
     word = []
-
-    def star(gens) -> int:
-        before = -1
-        while len(word) != before:
-            before = len(word)
-            for i in gens:
-                if (mi := m[i]) > 0:
-                    m[i] = -mi
-                    for j, c in rs.moves[i]:
-                        m[j] -= mi * c
-                    word.append(i)
-        return len(word)
-
-    lengths = [star(p_gens)]
+    descend(rs, m, p_gens, word)
+    lengths = [len(word)]
     for _ in range(max_k):
-        star(q_gens)
-        lengths.append(star(p_gens))
+        descend(rs, m, q_gens, word)
+        descend(rs, m, p_gens, word)
+        lengths.append(len(word))
         if lengths[-1] in (rs.num_positive, lengths[-2]):
             break
-    star(p_gens + q_gens)
+    descend(rs, m, p_gens + q_gens, word)
     return lengths, word
 
 
@@ -201,12 +190,12 @@ class BoundaryClass(Enum):
     CODIM_ONE = "CodimOne"
 
 
-def boundary_codim_class(d: DynkinDiagram, psi_p) -> BoundaryClass:
+def boundary_codim_class(rs: RootSystem, psi_p) -> BoundaryClass:
     """Classify the complement of the open orbit by how the marking meets
-    its involution image: fixed marking gives one affine cell, disjoint
+    its image under -w_0: fixed marking gives one affine cell, disjoint
     image gives codimension >= 2, partial overlap codimension one."""
-    psi_p = Marking(psi_p).validate_on(d)
-    iota = diagram_involution_table(d)
+    psi_p = Marking(psi_p).validate_on(rs.diagram)
+    iota = diagram_involution_table(rs)
     image = Marking(iota[v] for v in psi_p)
     if image == psi_p:
         return BoundaryClass.AFFINE_CELL

@@ -1,5 +1,5 @@
-"""Finite-type Dynkin diagrams: parsing, Cartan matrices, the diagram
-involution, tree paths, and canonical relabeling of induced subdiagrams.
+"""Finite-type Dynkin diagrams: parsing, Cartan matrices, tree paths, and
+canonical relabeling of induced subdiagrams.
 
 Numbering is Bourbaki within each factor; product diagrams ("A2xG2")
 number nodes consecutively across factors.  `_factor_edges` is the one
@@ -242,24 +242,6 @@ def cartan_matrix(d: DynkinDiagram) -> list[list[int]]:
             mat[long - 1][e.short - 1] = -e.mult
             mat[e.short - 1][long - 1] = -1
     return mat
-
-
-def diagram_involution_table(d: DynkinDiagram) -> dict[int, int]:
-    """The diagram involution: reversal on A factors, fork swap on odd-rank
-    D factors, the order-2 symmetry on E6, identity elsewhere."""
-    out = {}
-    for f, (lo, hi) in zip(d.factors, d.factor_spans):
-        for v in range(lo, hi + 1):
-            out[v] = v
-        if f.family == "A":
-            for i in range(f.rank):
-                out[lo + i] = hi - i
-        elif f.family == "D" and f.rank % 2 == 1:
-            out[hi - 1], out[hi] = hi, hi - 1
-        elif f.family == "E" and f.rank == 6:
-            out[lo], out[lo + 5] = lo + 5, lo
-            out[lo + 2], out[lo + 4] = lo + 4, lo + 2
-    return out
 
 
 def tree_path(d: DynkinDiagram, a: int, b: int) -> list[int] | None:

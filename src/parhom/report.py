@@ -42,7 +42,7 @@ class PsiPContext:
         self.roots = generate_roots(diagram)
         self.psi_p = Marking(psi_p).validate_on(diagram)
         self.dim_gp = dim_flag(self.roots, self.psi_p)
-        self.boundary = boundary_codim_class(diagram, self.psi_p)
+        self.boundary = boundary_codim_class(self.roots, self.psi_p)
         self.with_chains, self.chain_options = with_chains, chain_options
         self.rows: dict[Marking, tuple[ParabolicPair, ReductionResult, CycleDescriptor]] = {}
         self.chains: dict[Marking, ChainAnalysis] = {}

@@ -20,7 +20,7 @@ is allocated; only the CLI reads PARHOM_WEYL_LIMIT.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import prod
 from typing import TYPE_CHECKING
 
@@ -84,14 +84,6 @@ class RootSystem:
         # memo tables of `dim_flag`, `levi_split`, `cycle_descriptor`, `weyl_order`
         self.flag_dims, self.levi_splits, self.cycles, self.weyl_orders = {}, {}, {}, {}
 
-    @cached_property
-    def positive_coroots(self) -> np.ndarray:
-        """The positive roots of the transposed Cartan matrix, one per row."""
-        import numpy as np
-        dual = [list(col) for col in zip(*self.cartan_rows)]
-        return np.array(self.positive_roots if dual == self.cartan_rows
-                        else _positive_root_closure(dual, self.diagram.n))
-
     def __repr__(self):
         return f"RootSystem({self.diagram.type_string}, |pos|={self.num_positive})"
 
@@ -99,6 +91,40 @@ class RootSystem:
 @lru_cache(maxsize=None)
 def generate_roots(d: DynkinDiagram) -> RootSystem:
     return RootSystem(d)
+
+
+def descend(rs: RootSystem, m: list[int], gens, word: list[int]) -> int:
+    """Apply s_i to the Dynkin labels `m` in place, m_j -> m_j - m_i*C[i][j],
+    while some i in `gens` has m_i > 0, appending each i to `word`, a
+    reduced word.  Returns the largest label negated, 0 if none: with every
+    node in `gens`, a walk from a dominant lambda ends at w_0*lambda and
+    negates each <lambda, beta^v> > 0 over the positive coroots once."""
+    moves = rs.moves
+    top, before = 0, -1
+    while len(word) != before:
+        before = len(word)
+        for i in gens:
+            if (mi := m[i]) > 0:
+                if mi > top:
+                    top = mi
+                m[i] = -mi
+                for j, c in moves[i]:
+                    m[j] -= mi * c
+                word.append(i)
+    return top
+
+
+def diagram_involution_table(rs: RootSystem) -> dict[int, int]:
+    """The diagram involution -w_0, i -> j where w_0(a_i) = -a_j: the walk
+    from the labels (1, ..., n) ends at their w_0 image, labelled -iota(j).
+
+    >>> from parhom import parse_diagram_spec
+    >>> diagram_involution_table(generate_roots(parse_diagram_spec("E6")))
+    {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
+    """
+    m = list(range(1, rs.diagram.n + 1))
+    descend(rs, m, range(rs.diagram.n), [])
+    return {j: -x for j, x in enumerate(m, 1)}
 
 
 def weyl_order(rs: RootSystem, psi=()) -> int:
@@ -160,13 +186,14 @@ def orbit_counts(rs: RootSystem, psi_p, letters: list[int], ends: list[int],
     The key layout.  A point is its Dynkin-label vector m, and s_a maps it
     to m_j - m_a*C[a][j].  Its key holds the digits m_j + M, node 1 first,
     each `bits` = bit_length(2M) wide, in as many words below 2**62 as n
-    digits need, where M, the largest <lambda_P, beta^v> over positive
-    coroots, bounds every |m_j|.  So m_a is (key >> shift_a & mask) - M,
-    and s_a moves a key by -m_a times the key of row a of C.  When one
-    word holds all n digits (every exceptional diagram at any psi_p), the
-    keys are a flat array; else rows, one column per word.  The points are
-    kept in the order added.  U is s_a-closed after each letter a, so the
-    next a reads only the points added since (`reflection_closure`).
+    digits need, where M bounds every |m_j|: the largest label the walk
+    from lambda_P to w_0*lambda_P negates (`descend`).  So m_a is (key >>
+    shift_a & mask) - M, and s_a moves a key by -m_a times the key of row a
+    of C.  When one word holds all n digits (every exceptional diagram at
+    any psi_p), the keys are a flat array; else rows, one column per word.
+    The points are kept in the order added.  U is s_a-closed after each
+    letter a, so the next a reads only the points added since
+    (`reflection_closure`).
 
     >>> from parhom import parse_diagram_spec
     >>> orbit_counts(generate_roots(parse_diagram_spec("A2")), [1], [0, 1], [1], 3)
@@ -174,8 +201,8 @@ def orbit_counts(rs: RootSystem, psi_p, letters: list[int], ends: list[int],
     """
     import numpy as np
     n = rs.diagram.n
-    cols = [v - 1 for v in psi_p]
-    bound = int(rs.positive_coroots[:, cols].sum(axis=1).max())
+    labels = np.bincount([v - 1 for v in psi_p], minlength=n)  # lambda_P's
+    bound = descend(rs, labels.tolist(), range(n), [])
     bits = (2 * bound).bit_length()
     mask = (1 << bits) - 1
     width = min(n, 62 // bits)  # digits per word
@@ -187,7 +214,7 @@ def orbit_counts(rs: RootSystem, psi_p, letters: list[int], ends: list[int],
         place = place[:, 0]  # flat keys
     steps = np.array(rs.cartan_rows, dtype=np.int64) @ place  # int64 wraps, but every key fits
     keys = np.empty((size, *place.shape[1:]), dtype=np.int64)
-    keys[0] = (np.bincount(cols, minlength=n) + bound) @ place
+    keys[0] = (labels + bound) @ place
     closed = [0] * n  # per node a: the point count when U was last s_a-closed
     count, counts = 1, []
     for k, a in enumerate(letters, 1):

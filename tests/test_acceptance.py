@@ -142,8 +142,8 @@ def test_criterion_5_involution_cross_check():
 
     def body():
         for spec in specs:
-            d = parse_diagram_spec(spec)
-            assert involution_via_w0(generate_roots(d)) == diagram_involution_table(d)
+            rs = generate_roots(parse_diagram_spec(spec))
+            assert involution_via_w0(rs) == diagram_involution_table(rs)
 
     announce("5 involution-cross-check", body)
 

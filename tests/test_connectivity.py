@@ -502,27 +502,31 @@ def test_orbit_sizes_must_follow_the_lengths(monkeypatch, capsys, cold_roots, sk
     assert "Demazure lengths" in capsys.readouterr().err
 
 
+def roots_of(spec):
+    return generate_roots(parse_diagram_spec(spec))
+
+
 class TestBoundaryClass:
     def test_b3_always_affine(self):
-        d = parse_diagram_spec("B3")
+        rs = roots_of("B3")
         for psi in subsets(3):
-            assert boundary_codim_class(d, psi) is BoundaryClass.AFFINE_CELL
+            assert boundary_codim_class(rs, psi) is BoundaryClass.AFFINE_CELL
 
     def test_a3_disjoint_image(self):
-        assert boundary_codim_class(parse_diagram_spec("A3"), [1]) \
+        assert boundary_codim_class(roots_of("A3"), [1]) \
             is BoundaryClass.CODIM_AT_LEAST_TWO
 
     def test_a3_partial_overlap(self):
-        assert boundary_codim_class(parse_diagram_spec("A3"), [1, 2]) \
+        assert boundary_codim_class(roots_of("A3"), [1, 2]) \
             is BoundaryClass.CODIM_ONE
 
     def test_a3_invariant_marking(self):
-        d = parse_diagram_spec("A3")
-        assert boundary_codim_class(d, [2]) is BoundaryClass.AFFINE_CELL
-        assert boundary_codim_class(d, [1, 3]) is BoundaryClass.AFFINE_CELL
+        rs = roots_of("A3")
+        assert boundary_codim_class(rs, [2]) is BoundaryClass.AFFINE_CELL
+        assert boundary_codim_class(rs, [1, 3]) is BoundaryClass.AFFINE_CELL
 
     def test_empty_marking_is_affine(self):
-        assert boundary_codim_class(parse_diagram_spec("A3"), ()) \
+        assert boundary_codim_class(roots_of("A3"), ()) \
             is BoundaryClass.AFFINE_CELL
 
 

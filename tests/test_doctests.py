@@ -22,5 +22,5 @@ def test_examples_are_found():
     counts = {name: doctest.testmod(importlib.import_module(name)).attempted
               for name in ("parhom.dynkin", "parhom.connectivity", "parhom.rootweyl",
                            "parhom.geometry", "parhom.report")}
-    assert counts == {"parhom.dynkin": 4, "parhom.connectivity": 5, "parhom.rootweyl": 4,
+    assert counts == {"parhom.dynkin": 4, "parhom.connectivity": 5, "parhom.rootweyl": 6,
                       "parhom.geometry": 2, "parhom.report": 2}

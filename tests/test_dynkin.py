@@ -2,6 +2,7 @@
 relabeling checked against a recorded digest, the edge tables and a
 permutation brute force."""
 
+import ast
 import hashlib
 import json
 from collections import deque
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import parhom
 from parhom import (MAX_RANK, DiagramError, Marking, RankLimitError,
-                    cartan_matrix, diagram_involution_table,
+                    cartan_matrix, diagram_involution_table, generate_roots,
                     parse_diagram_spec, relabel_to_standard, tree_path)
 from test_geometry import diagrams_up_to_rank
 
@@ -155,30 +157,44 @@ def _int_det(mat):
     return sign * m[-1][-1]
 
 
+def involution_of(spec):
+    return diagram_involution_table(generate_roots(parse_diagram_spec(spec)))
+
+
+E6_INVOLUTION = {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
+
+
 class TestInvolution:
     def test_a3(self):
-        assert diagram_involution_table(parse_diagram_spec("A3")) == {1: 3, 2: 2, 3: 1}
+        assert involution_of("A3") == {1: 3, 2: 2, 3: 1}
 
     def test_f4_identity(self):
-        d = parse_diagram_spec("F4")
-        assert diagram_involution_table(d) == {v: v for v in range(1, 5)}
+        assert involution_of("F4") == {v: v for v in range(1, 5)}
 
     def test_d5_fork_swap(self):
-        assert diagram_involution_table(parse_diagram_spec("D5")) == {
-            1: 1, 2: 2, 3: 3, 4: 5, 5: 4}
+        assert involution_of("D5") == {1: 1, 2: 2, 3: 3, 4: 5, 5: 4}
 
     def test_d4_identity(self):
-        d = parse_diagram_spec("D4")
-        assert diagram_involution_table(d) == {v: v for v in range(1, 5)}
+        assert involution_of("D4") == {v: v for v in range(1, 5)}
 
     def test_e6(self):
-        assert diagram_involution_table(parse_diagram_spec("E6")) == {
-            1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
+        assert involution_of("E6") == E6_INVOLUTION
+
+    @pytest.mark.parametrize("spec,moved", [
+        ("A40", {v: 41 - v for v in range(1, 41)}),  # reversed
+        ("D39", {38: 39, 39: 38}),  # the fork swapped
+        ("D40", {}), ("B40", {}), ("C40", {}), ("E7", {}), ("E8", {}),
+        ("E6xA30", {**E6_INVOLUTION, **{v: 43 - v for v in range(7, 37)}}),
+    ])
+    def test_closed_forms_past_the_oracle(self, spec, moved):
+        # the moved nodes of each closed form; every other node is fixed
+        n = parse_diagram_spec(spec).n
+        assert involution_of(spec) == {v: moved.get(v, v) for v in range(1, n + 1)}
 
     @pytest.mark.parametrize("spec", FAMILIES_SAMPLE)
     def test_involution_is_involutive_graph_automorphism(self, spec):
         d = parse_diagram_spec(spec)
-        iota = diagram_involution_table(d)
+        iota = diagram_involution_table(generate_roots(d))
         assert sorted(iota) == list(range(1, d.n + 1))
         for v, w in iota.items():
             assert iota[w] == v
@@ -192,6 +208,32 @@ class TestInvolution:
             imult, ishort = edge_data[(ia, ib)]
             assert imult == mult
             assert ishort == (iota[short] if short is not None else None)
+
+
+def test_only_the_exception_tables_name_a_family():
+    """A comparison of a factor's `.family` with a string literal, or with a
+    module-level string constant, in a function of the package, found by its
+    syntax tree.  Only `connectivity`'s exception tables may name a family:
+    every other fact about one is read off its edge table or its roots."""
+    def names_family(node, constants):
+        if not isinstance(node, ast.Compare):
+            return False
+        operands = [node.left, *node.comparators]
+        return (any(isinstance(o, ast.Attribute) and o.attr == "family" for o in operands)
+                and any(isinstance(o, ast.Constant) and isinstance(o.value, str)
+                        or isinstance(o, ast.Name) and o.id in constants for o in operands))
+
+    comparers = set()
+    for path in Path(parhom.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        constants = {target.id for node in tree.body if isinstance(node, ast.Assign)
+                     and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+                     for target in node.targets if isinstance(target, ast.Name)}
+        comparers |= {(path.name, fn.name) for fn in ast.walk(tree)
+                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and any(names_family(node, constants) for node in ast.walk(fn))}
+    assert comparers == {("connectivity.py", "_local_markings"),
+                         ("connectivity.py", "exception_flags")}
 
 
 class TestTreePath:

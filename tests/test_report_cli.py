@@ -15,8 +15,8 @@ import pytest
 
 import parhom
 from parhom import (ConsistencyError, Marking, RootSystem, build_report,
-                    generate_roots, parse_diagram_spec, render_json,
-                    render_tsv_row, report_to_dict, tsv_header, verify_report)
+                    parse_diagram_spec, render_json, render_tsv_row,
+                    report_to_dict, tsv_header, verify_report)
 from parhom.cli import LIMIT_ENV, build_parser, main
 from parhom.report import TSV_COLUMNS, PsiPContext
 
@@ -295,8 +295,8 @@ class TestCliAnalyze:
         # with the label bound M too low, the keys of distinct points alias
         # and the scan reaches too few points: the arrays sized |W_R/W_P|
         # must not hide that from the size check
-        rs = generate_roots(parse_diagram_spec("E6"))
-        monkeypatch.setattr(rs, "positive_coroots", (rs.positive_coroots + 1) // 2)
+        real = parhom.rootweyl.descend
+        monkeypatch.setattr("parhom.rootweyl.descend", lambda *args: (real(*args) + 1) // 2)
         # psi_p & psi_q is empty, so W_R = W and the orbit is all of W/W_P
         assert main(["analyze", "--type", "E6", "--p", "2,4", "--q", "1",
                      "--chain-length", "--json"]) == 4
@@ -308,8 +308,8 @@ class TestCliAnalyze:
         # aliased digits can also carry into a neighbour and reach more
         # points than |W_R/W_P|: the scan stops at the end of its keys and
         # reports the count it reached
-        rs = generate_roots(parse_diagram_spec("E6"))
-        monkeypatch.setattr(rs, "positive_coroots", rs.positive_coroots // 2)
+        real = parhom.rootweyl.descend
+        monkeypatch.setattr("parhom.rootweyl.descend", lambda *args: real(*args) // 2)
         assert main(["analyze", "--type", "E6", "--p", "3,5", "--q", "1",
                      "--chain-length", "--json"]) == 4
         found = re.search(r"orbit has (\d+) points, not \|W_R/W_P\| = 2160",

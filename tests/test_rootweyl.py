@@ -1,7 +1,9 @@
 """Root generation and Weyl group machinery, checked against closed forms,
 word-length BFS, and brute-force coset minima."""
 
+import random
 from collections import deque
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -9,8 +11,9 @@ import pytest
 
 import parhom.connectivity as connectivity
 from parhom import (ConsistencyError, DiagramError, GuardLimitError, ParabolicPair,
-                    cartan_matrix, chain_analysis, generate_roots, induced_components,
-                    diagram_involution_table, parse_diagram_spec, tree_path, weyl_order)
+                    cartan_matrix, chain_analysis, diagram_involution_table, dim_flag,
+                    generate_roots, induced_components, parse_diagram_spec, tree_path,
+                    weyl_order)
 from parhom import rootweyl
 from test_connectivity import full_orbit_sizes
 from test_dynkin import node_factor
@@ -108,8 +111,6 @@ class TestRoots:
                     == dense_positive_root_closure(mat, d.n))
         rs = generate_roots(d)
         assert list(rs.positive_roots) == dense_positive_root_closure(cart, d.n)
-        assert rs.positive_coroots.tolist() == [
-            list(c) for c in dense_positive_root_closure(dual, d.n)]
 
     def test_cartan_array_equals_the_rows(self):
         rs = rs_for("B3xG2")
@@ -241,12 +242,55 @@ class TestInvolutionViaW0:
                                       "B4", "C3", "C4", "D4", "D5", "F4", "G2",
                                       "A2xG2", "A3xD5"])
     def test_matches_table(self, spec):
-        d = parse_diagram_spec(spec)
-        assert involution_via_w0(generate_roots(d)) == diagram_involution_table(d)
+        rs = generate_roots(parse_diagram_spec(spec))
+        assert involution_via_w0(rs) == diagram_involution_table(rs)
 
     def test_c3_identity(self):
         rs = rs_for("C3")
         assert involution_via_w0(rs) == {1: 1, 2: 2, 3: 3}
+
+
+@lru_cache(maxsize=None)
+def dense_coroots(spec) -> list[tuple[int, ...]]:
+    """The positive roots of the transposed Cartan matrix, by the dense closure."""
+    cart = cartan_matrix(parse_diagram_spec(spec))
+    return dense_positive_root_closure([list(col) for col in zip(*cart)], len(cart))
+
+
+class TestDescend:
+    """The walk from lambda_P with every node as a generator, against the
+    dense coroot closure and the permutation model, which share no code with
+    it: it negates the largest <lambda_P, beta^v> (the scan's digit bound M)
+    and one label per coroot pairing positively, and ends at w_0*lambda_P,
+    labelled -1 exactly on iota(psi)."""
+
+    def check(self, rs, spec, psi, iota):
+        n = rs.diagram.n
+        m, word = [int(v in psi) for v in range(1, n + 1)], []
+        top = rootweyl.descend(rs, m, range(n), word)
+        pairings = [sum(c[v - 1] for v in psi) for c in dense_coroots(spec)]
+        assert top == max(pairings), psi
+        assert len(word) == dim_flag(rs, psi) == sum(x > 0 for x in pairings), psi
+        image = {iota[v] for v in psi}
+        assert m == [-int(v in image) for v in range(1, n + 1)], psi
+
+    @pytest.mark.parametrize("spec", ["E6", "E7", "E8", "F4", "G2", "A3xB3", "G2xF4"])
+    def test_every_marking(self, spec):
+        rs = rs_for(spec)
+        iota = involution_via_w0(rs)
+        nodes = range(1, rs.diagram.n + 1)
+        for k in range(rs.diagram.n + 1):
+            for psi in combinations(nodes, k):
+                self.check(rs, spec, psi, iota)
+
+    @pytest.mark.parametrize("spec", ["A40", "B40", "C40", "D40", "B20xC20"])
+    def test_seeded_markings_at_rank_40(self, spec):
+        # iota in closed form: A40 reversed, the others fixed
+        rs = rs_for(spec)
+        iota = {v: 41 - v if spec == "A40" else v for v in range(1, 41)}
+        rng = random.Random(spec)
+        for _ in range(20):
+            self.check(rs, spec, sorted(rng.sample(range(1, 41), rng.randint(1, 40))), iota)
 
 
 class TestMinCosetLength:
@@ -355,7 +399,7 @@ class TestWeightOrbit:
         # the keys take two words
         rs = rs_for(spec)
         psi_p = {"A40": [1, 2], "D40": [1]}[spec]
-        bound = int(rs.positive_coroots[:, [v - 1 for v in psi_p]].sum(axis=1).max())
+        bound = max(sum(c[v - 1] for v in psi_p) for c in dense_coroots(spec))
         assert 40 * (2 * bound).bit_length() > 62 >= 20 * (2 * bound).bit_length()
         words = set()
         real = rootweyl.reflection_closure
