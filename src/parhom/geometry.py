@@ -1,5 +1,6 @@
 """Dimension formulas for flag spaces and cycles over a marked diagram
-pair, all by counting positive roots against markings.  The cycle
+pair, all from the number of positive roots outside a marking's Levi,
+which `rootweyl.levi_walk` counts on Dynkin labels.  The cycle
 Q/(Q∩P) and `connectivity.reduction` both read one split of the diagram,
 `ParabolicPair.cycle_components`.  The per-marking values are
 memoised in tables on the diagram's `RootSystem` (see `rootweyl`).
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynkin import DynkinDiagram, Marking, induced_components, relabel_to_standard
-from .rootweyl import RootSystem, generate_roots
+from .rootweyl import RootSystem, generate_roots, levi_walk
 
 
 @dataclass(frozen=True)
@@ -66,19 +67,17 @@ def levi_split(rs: RootSystem, psi: Marking) -> tuple[tuple[int, ...], ...]:
 
 def dim_flag(rs: RootSystem, psi) -> int:
     """Complex dimension of the flag space for a marking: the number of
-    positive roots whose support meets the marked nodes.  Memoised per
-    marking on the diagram's root system `rs`.
+    positive roots outside its Levi (`rootweyl.levi_walk`).
 
     >>> from parhom import parse_diagram_spec
     >>> dim_flag(generate_roots(parse_diagram_spec("A3")), [2])
     4
     """
     psi = Marking(psi)
-    dim = rs.flag_dims.get(psi)
-    if dim is None:
-        mask = sum(1 << (v - 1) for v in psi.validate_on(rs.diagram))
-        dim = rs.flag_dims[psi] = sum(1 for s in rs.support_masks if s & mask)
-    return dim
+    walk = rs.levi_walks.get(psi)
+    if walk is None:
+        walk = levi_walk(rs, psi)
+    return walk[0]
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,18 @@
 """Root systems, Weyl-group orders and the weight-orbit scan.
 
-Positive roots are integer coordinate vectors in the simple-root basis,
-graded by height, then lexicographic.  Weyl-group orders are read off
-their heights (`weyl_order`), with no classification of the diagram.  W/W_P
-is the orbit of lambda_P = sum of the fundamental weights of a marking.
-The chain scan (`orbit_counts`) counts the sizes it has no closed form for
-on the points of W_R/W_P it reaches, held as packed keys, with one
-`reflection_closure` per letter of a reduced word; no orbit table is
-built.  Oracles: the permutation model of W, the lexsort table of W/W_P
-with its mask scan, and the dense root closure (`tests/weyl_oracle.py`).
-numpy is imported here only, by the scan, so it loads only to count a
-chain level strictly between W_P and W_R (`analyze --chain-length`, JSON
-chain sweeps).
+No root list is built.  One walk on Dynkin labels (`descend`) gives the
+Weyl facts a report needs: from rho over the nodes outside a marking it
+negates the heights of the Levi's positive coroots, so its moves give dim
+G/P and Macdonald's product over those heights |W_P| (`levi_walk`), with
+no classification of the diagram.  W/W_P is the orbit of lambda_P = sum of
+the fundamental weights of a marking.  The chain scan (`orbit_counts`)
+counts the sizes it has no closed form for on the points of W_R/W_P it
+reaches, held as packed keys, with one `reflection_closure` per letter of
+a reduced word; no orbit table is built.  Oracles: the permutation model
+of W, the lexsort table of W/W_P with its mask scan, and the dense root
+closure (`tests/weyl_oracle.py`).  numpy is imported here only, by the
+scan, so it loads only to count a chain level strictly between W_P and W_R
+(`analyze --chain-length`, JSON chain sweeps).
 
 A scan runs behind a guard limit on the |W_R/W_P| points it would hold
 (default 10**6), checked by `connectivity.chain_analysis` before anything
@@ -42,47 +43,22 @@ class GuardLimitError(RuntimeError):
         self.limit = limit
 
 
-def _positive_root_closure(cart, n):
-    # per node i, the (j, C[j][i]) with C[j][i] != 0: i and its neighbours
-    cols = [[(j, row[i]) for j, row in enumerate(cart) if row[i]] for i in range(n)]
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    found = set(simples)
-    frontier = list(simples)
-    while frontier:
-        new = []
-        for c in frontier:
-            for i, col in enumerate(cols):
-                # s_i moves coordinate i only.  Every positive root lies on a
-                # chain of simple reflections from a simple root along which
-                # the height increases, so only upward images are needed
-                # (top > c[i] >= 0)
-                top = c[i] - sum(c[j] * a for j, a in col)
-                if top > c[i] and (img := c[:i] + (top,) + c[i + 1:]) not in found:
-                    found.add(img)
-                    new.append(img)
-        frontier = new
-    return sorted(found, key=lambda c: (sum(c), c))
-
-
 class RootSystem:
-    """Positive roots and Cartan matrix of a diagram, and the memo tables of
-    the per-marking functions.  Nothing keyed by a pair is stored here."""
+    """Cartan matrix of a diagram, its number of positive roots, and the
+    memo tables of the per-marking functions.  Nothing keyed by a pair is
+    stored here."""
 
     def __init__(self, diagram: DynkinDiagram):
         self.diagram = diagram
         n = diagram.n
         cart = cartan_matrix(diagram)
-        pos = _positive_root_closure(cart, n)
-        self.positive_roots = tuple(pos)
-        self.num_positive = len(pos)
         self.cartan_rows = cart
         # per node i, the (j, C[i][j]) of its neighbours j
         self.moves = tuple(tuple((j, c) for j, c in enumerate(row) if c and j != i)
                            for i, row in enumerate(cart))
-        # bit v-1 set iff node v is in the root's support
-        self.support_masks = tuple(sum(1 << j for j, x in enumerate(c) if x) for c in pos)
-        # memo tables of `dim_flag`, `levi_split`, `cycle_descriptor`, `weyl_order`
-        self.flag_dims, self.levi_splits, self.cycles, self.weyl_orders = {}, {}, {}, {}
+        self.num_positive = len(descend(self, [1] * n, range(n), []))
+        # memo tables of `levi_walk`, `levi_split`, `cycle_descriptor`
+        self.levi_walks, self.levi_splits, self.cycles = {}, {}, {}
 
     def __repr__(self):
         return f"RootSystem({self.diagram.type_string}, |pos|={self.num_positive})"
@@ -93,25 +69,39 @@ def generate_roots(d: DynkinDiagram) -> RootSystem:
     return RootSystem(d)
 
 
-def descend(rs: RootSystem, m: list[int], gens, word: list[int]) -> int:
+def descend(rs: RootSystem, m: list[int], gens, word: list[int]) -> list[int]:
     """Apply s_i to the Dynkin labels `m` in place, m_j -> m_j - m_i*C[i][j],
     while some i in `gens` has m_i > 0, appending each i to `word`, a
-    reduced word.  Returns the largest label negated, 0 if none: with every
-    node in `gens`, a walk from a dominant lambda ends at w_0*lambda and
-    negates each <lambda, beta^v> > 0 over the positive coroots once."""
+    reduced word.  Returns the labels negated, in order: a walk from a
+    dominant lambda ends at w_0(I)*lambda, I the nodes of `gens`, and
+    negates each <lambda, beta^v> > 0 over the positive coroots of I once.
+    From rho (every label 1) those are the heights of the coroots."""
     moves = rs.moves
-    top, before = 0, -1
+    negated, before = [], -1
     while len(word) != before:
         before = len(word)
         for i in gens:
             if (mi := m[i]) > 0:
-                if mi > top:
-                    top = mi
+                negated.append(mi)
                 m[i] = -mi
                 for j, c in moves[i]:
                     m[j] -= mi * c
                 word.append(i)
-    return top
+    return negated
+
+
+def levi_walk(rs: RootSystem, psi: Marking) -> tuple[int, int]:
+    """(dim G/P, |W_P|) of the marking psi, from the walk of rho over the
+    nodes outside psi, the Levi's: it makes one move per positive root of
+    the Levi, and |W_P| is Macdonald's product of (h + 1) / h over the
+    heights h it negates, those of the Levi's positive coroots, whose Weyl
+    group is W_P too.  Stored per marking in `rs.levi_walks`."""
+    n = rs.diagram.n
+    marked = psi.validate_on(rs.diagram)
+    heights = descend(rs, [1] * n, [i for i in range(n) if i + 1 not in marked], [])
+    walk = rs.levi_walks[psi] = (rs.num_positive - len(heights),
+                                 prod(h + 1 for h in heights) // prod(heights))
+    return walk
 
 
 def diagram_involution_table(rs: RootSystem) -> dict[int, int]:
@@ -129,22 +119,17 @@ def diagram_involution_table(rs: RootSystem) -> dict[int, int]:
 
 def weyl_order(rs: RootSystem, psi=()) -> int:
     """Order of the Weyl group W_P of the Levi of marking psi, so |W| for
-    the empty marking.  Macdonald's product over the Levi's positive roots
-    (those whose support misses psi) of (height + 1) / height.  Memoised
-    per marking on the root system `rs`.
+    the empty marking (`levi_walk`).
 
     >>> from parhom import parse_diagram_spec
     >>> [weyl_order(generate_roots(parse_diagram_spec("E8")), psi) for psi in ((), [4])]
     [696729600, 1440]
     """
     psi = Marking(psi)
-    order = rs.weyl_orders.get(psi)
-    if order is None:
-        mask = sum(1 << (v - 1) for v in psi.validate_on(rs.diagram))
-        heights = [sum(root) for root, support in zip(rs.positive_roots, rs.support_masks)
-                   if not support & mask]
-        order = rs.weyl_orders[psi] = prod(h + 1 for h in heights) // prod(heights)
-    return order
+    walk = rs.levi_walks.get(psi)
+    if walk is None:
+        walk = levi_walk(rs, psi)
+    return walk[1]
 
 
 # bench/tracer.py times the chain scan's letters by wrapping this name
@@ -202,7 +187,7 @@ def orbit_counts(rs: RootSystem, psi_p, letters: list[int], ends: list[int],
     import numpy as np
     n = rs.diagram.n
     labels = np.bincount([v - 1 for v in psi_p], minlength=n)  # lambda_P's
-    bound = descend(rs, labels.tolist(), range(n), [])
+    bound = max(descend(rs, labels.tolist(), range(n), []), default=0)
     bits = (2 * bound).bit_length()
     mask = (1 << bits) - 1
     width = min(n, 62 // bits)  # digits per word

@@ -143,7 +143,7 @@ def test_sweep_call_budget(monkeypatch):
     # the sweep makes every pair of validated markings, with no check
     assert counts["pairs"] == 0
     # besides each row's psi_q: per marking its context and boundary class
-    # as psi_p and its first `flag_dims` and `levi_splits` entries; per
+    # as psi_p and its first `levi_walks` and `levi_splits` entries; per
     # relabelled cycle its node set and its marking's flag dimension
     assert counts["markings"] <= len(rows) + 4 * 2 ** 6 + 2 * calls["dynkin.relabel_to_standard"]
 

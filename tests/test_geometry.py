@@ -1,5 +1,6 @@
 """Flag, cycle and tower dimensions, checked against direct root counting."""
 
+import random
 from itertools import chain, combinations
 
 import pytest
@@ -8,6 +9,7 @@ from parhom import (Marking, ParabolicPair, build_report, cycle_descriptor,
                     dim_flag, generate_roots, parse_diagram_spec, reduction,
                     report_to_dict)
 from parhom.report import PsiPContext
+from weyl_oracle import positive_roots
 
 
 def dual_cycle_dim(pair):
@@ -24,6 +26,15 @@ def tower_block(pair):
 
 def subsets(n):
     return list(chain.from_iterable(combinations(range(1, n + 1), k) for k in range(n + 1)))
+
+
+def markings_of(spec, n):
+    """Every marking of n nodes up to rank 8; past it, 41 markings drawn
+    with the spec as seed."""
+    if n <= 8:
+        return subsets(n)
+    rng = random.Random(spec)
+    return [tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))) for _ in range(41)]
 
 
 FAMILIES_BY_RANK = {1: "A", 2: "ABG", 3: "ABC", 4: "ABCDF", 5: "ABCD"}
@@ -50,7 +61,7 @@ def direct_flag_dim(d, psi):
     """Oracle: count positive roots whose support meets psi, from raw coords."""
     rs = generate_roots(d)
     psi = set(psi)
-    return sum(1 for c in rs.positive_roots
+    return sum(1 for c in positive_roots(rs)
                if any(x != 0 and (i + 1) in psi for i, x in enumerate(c)))
 
 
@@ -59,7 +70,7 @@ def direct_cycle_dim(d, psi_p, psi_q):
     rs = generate_roots(d)
     psi_p, psi_q = set(psi_p), set(psi_q)
     count = 0
-    for c in rs.positive_roots:
+    for c in positive_roots(rs):
         support = {i + 1 for i, x in enumerate(c) if x != 0}
         if not (support & psi_q) and (support & psi_p):
             count += 1

@@ -1,6 +1,7 @@
-"""The per-diagram memo tables on `RootSystem` (flag dimensions, splits of
-D minus a marking, relabelled cycles, Weyl-group orders) and the memo of
-chain analyses on `report.PsiPContext`: the values read through them
+"""The per-diagram memo tables on `RootSystem` (flag dimensions and
+Weyl-group orders from the Levi walks, splits of D minus a marking,
+relabelled cycles) and the memo of chain analyses on
+`report.PsiPContext`: the values read through them
 match oracles that share no code with them, or cold runs, when warm; bad
 nodes and guard limits still raise; a table never hands out a mutable
 value; and whole sweeps print the recorded bytes, however warm the tables
@@ -26,7 +27,7 @@ from parhom import dynkin
 from parhom.cli import main
 from parhom.report import PsiPContext
 from test_connectivity import scan_fields
-from test_geometry import diagrams_up_to_rank, subsets
+from test_geometry import diagrams_up_to_rank, markings_of, subsets
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
@@ -120,13 +121,14 @@ def closed_form_dim(d, psi) -> int:
     return out
 
 
-@pytest.mark.parametrize("spec", diagrams_up_to_rank(5) + ["D7", "E6", "E7", "E8"])
+@pytest.mark.parametrize("spec", diagrams_up_to_rank(5) + ["D7", "E6", "E7", "E8", "A40",
+                                                         "B40", "C40", "D40", "B20xC20"])
 def test_dim_flag_matches_closed_form_cold_and_warm(spec):
     d = parse_diagram_spec(spec)
-    want = {p: closed_form_dim(d, p) for p in subsets(d.n)}
+    want = {p: closed_form_dim(d, p) for p in markings_of(spec, d.n)}
     generate_roots.cache_clear()
     assert {p: dim_flag(generate_roots(d), p) for p in want} == want  # every lookup a miss
-    assert len(generate_roots(d).flag_dims) == 2 ** d.n
+    assert len(generate_roots(d).levi_walks) == len(want)
     assert {p: dim_flag(generate_roots(d), Marking(p)) for p in want} == want  # every one a hit
 
 
@@ -156,13 +158,13 @@ def test_bad_nodes_still_raise_after_a_warm_sweep(warm_e6):
         with pytest.raises(DiagramError):
             is_separating(ParabolicPair(d, [1], [2]), bad)
     rs = generate_roots(d)
-    for key in list(rs.flag_dims) + list(rs.levi_splits):
+    for key in list(rs.levi_walks) + list(rs.levi_splits):
         assert all(1 <= v <= d.n for v in key)
 
 
 def test_tables_stay_within_their_bounds(warm_e6):
     rs = generate_roots(warm_e6)
-    assert len(rs.flag_dims) <= 2 ** 6
+    assert len(rs.levi_walks) <= 2 ** 6
     assert len(rs.levi_splits) <= 2 ** 6
     assert 0 < len(rs.cycles) <= 3 ** 6
     for type_string, marking, roots in rs.cycles.values():
@@ -192,12 +194,11 @@ def test_cache_clear_drops_the_tables():
     cycle_descriptor(ParabolicPair(d, [1], [2]))
     weyl_order(generate_roots(d), [1])
     old = generate_roots(d)
-    assert old.flag_dims and old.levi_splits and old.cycles and old.weyl_orders
+    assert old.levi_walks and old.levi_splits and old.cycles
     generate_roots.cache_clear()
     fresh = generate_roots(d)
     assert fresh is not old
-    assert not fresh.flag_dims and not fresh.levi_splits and not fresh.cycles
-    assert not fresh.weyl_orders
+    assert not fresh.levi_walks and not fresh.levi_splits and not fresh.cycles
 
 
 # -- relabeling orderings, per connected node set -----------------------------
@@ -238,7 +239,7 @@ def test_weyl_orders_warm_equal_cold(spec):
         cold[p] = weyl_order(generate_roots(d), p)
     generate_roots.cache_clear()
     assert {p: weyl_order(generate_roots(d), p) for p in cold} == cold  # every lookup a miss
-    assert len(generate_roots(d).weyl_orders) == 2 ** d.n
+    assert len(generate_roots(d).levi_walks) == 2 ** d.n
     assert {p: weyl_order(generate_roots(d), Marking(p)) for p in cold} == cold  # every one a hit
 
 
@@ -246,7 +247,7 @@ def test_bad_nodes_raise_against_a_warm_weyl_order_table():
     d = parse_diagram_spec("E6")
     generate_roots.cache_clear()
     run_cli(["enumerate", "--type", "E6", "--with-chains", "--format", "json"])  # counts sizes
-    table = generate_roots(d).weyl_orders
+    table = generate_roots(d).levi_walks
     warm = dict(table)
     assert 0 < len(warm) <= 2 ** 6
     for bad in ([7], [0], [1, 7]):
@@ -370,14 +371,14 @@ def test_truncated_scan_is_not_served_from_the_full_entry():
 
 
 def test_guard_holds_on_a_warm_memo():
-    # a context at the default limit fills `weyl_orders` for D5 psi_p =
+    # a context at the default limit fills `levi_walks` for D5 psi_p =
     # {1,2,4,5} vs {3} (a scan of 960 points); one at 959 reads them warm
     # and still refuses
     d = parse_diagram_spec("D5")
     generate_roots.cache_clear()
     psi_p = Marking([1, 2, 4, 5])
     assert build_report(PsiPContext(d, psi_p, with_chains=True), [3]).chains.connected is True
-    assert psi_p in generate_roots(d).weyl_orders
+    assert psi_p in generate_roots(d).levi_walks
     strict = PsiPContext(d, psi_p, with_chains=True, weyl_limit=959)
     with pytest.raises(GuardLimitError) as exc:
         build_report(strict, [3])
@@ -387,7 +388,8 @@ def test_guard_holds_on_a_warm_memo():
 def test_memo_goes_with_the_orbit_slot():
     # the chain analyses live on the context of one psi_p, keyed by red
     # psi_q, and rows of one red psi_q share one; another psi_p has its own
-    # context, and the root system keeps only its per-marking tables
+    # context, and the root system keeps only its Cartan data and its
+    # per-marking tables
     d = parse_diagram_spec("F4")
     generate_roots.cache_clear()
     context = PsiPContext(d, [1], with_chains=True)
@@ -399,6 +401,5 @@ def test_memo_goes_with_the_orbit_slot():
     other = PsiPContext(d, [4], with_chains=True)
     build_report(other, [2])
     assert set(other.chains) == {(2,)} and set(context.chains) == {(2,), (3,)}
-    tables = {name for name, value in vars(generate_roots(d)).items()
-              if isinstance(value, dict)}
-    assert tables == {"flag_dims", "levi_splits", "cycles", "weyl_orders"}
+    assert set(vars(generate_roots(d))) == {"diagram", "cartan_rows", "moves", "num_positive",
+                                            "levi_walks", "levi_splits", "cycles"}

@@ -241,6 +241,20 @@ def limit_input(monkeypatch, flag, value):
     return []
 
 
+def corrupt_bound(monkeypatch, bound):
+    """Make the walk from lambda_P, whose labels hold a 0, report `bound(M)`
+    as the largest label it negates; the walks from rho, every label 1,
+    that count roots and Weyl orders stay true."""
+    real = parhom.rootweyl.descend
+
+    def walk(rs, m, gens, word):
+        from_rho = all(m)
+        negated = real(rs, m, gens, word)
+        return negated if from_rho else [bound(max(negated, default=0))]
+
+    monkeypatch.setattr("parhom.rootweyl.descend", walk)
+
+
 class TestCliAnalyze:
     def test_success_text(self, capsys):
         assert main(["analyze", "--type", "A3", "--p", "2", "--q", "1",
@@ -295,8 +309,7 @@ class TestCliAnalyze:
         # with the label bound M too low, the keys of distinct points alias
         # and the scan reaches too few points: the arrays sized |W_R/W_P|
         # must not hide that from the size check
-        real = parhom.rootweyl.descend
-        monkeypatch.setattr("parhom.rootweyl.descend", lambda *args: (real(*args) + 1) // 2)
+        corrupt_bound(monkeypatch, lambda top: (top + 1) // 2)
         # psi_p & psi_q is empty, so W_R = W and the orbit is all of W/W_P
         assert main(["analyze", "--type", "E6", "--p", "2,4", "--q", "1",
                      "--chain-length", "--json"]) == 4
@@ -308,8 +321,7 @@ class TestCliAnalyze:
         # aliased digits can also carry into a neighbour and reach more
         # points than |W_R/W_P|: the scan stops at the end of its keys and
         # reports the count it reached
-        real = parhom.rootweyl.descend
-        monkeypatch.setattr("parhom.rootweyl.descend", lambda *args: real(*args) // 2)
+        corrupt_bound(monkeypatch, lambda top: top // 2)
         assert main(["analyze", "--type", "E6", "--p", "3,5", "--q", "1",
                      "--chain-length", "--json"]) == 4
         found = re.search(r"orbit has (\d+) points, not \|W_R/W_P\| = 2160",

@@ -1,7 +1,8 @@
 """Test oracle: the permutation model of a Weyl group.
 
 `perm_tables(rs)` lists the roots of a `parhom.rootweyl.RootSystem`
-(positives first, negatives after in matching order) and tabulates each
+(positives first, from `positive_roots(rs)`, negatives after in matching
+order) and tabulates each
 simple reflection as a permutation of that list.  An element is the
 permutation row it induces on the root list; its canonical hash key is the
 tuple of images of the simple roots, which already determines the element.
@@ -12,8 +13,9 @@ results, and the Weyl-order and involution tables, against this model.
 Its guard sizes a subgroup from the closed-form order of each family
 (`classical_weyl_order`) and the classified subdiagram, so it shares no
 code with the library's height product `parhom.rootweyl.weyl_order`.
-`dense_positive_root_closure` pairs each root with all n Cartan columns,
-where the library's closure reads only the nonzero entries.
+`dense_positive_root_closure` pairs each root with all n Cartan columns;
+the library builds no root list, and counts roots and Weyl orders by a
+walk on Dynkin labels (`parhom.rootweyl.levi_walk`).
 `orbit_scan_sizes` counts chain levels as masks over the neighbour table
 of the whole orbit W/W_P (`lexsort_orbit_neighbours`), closed level by
 level under the Q and then the P reflections (`orbit_closure`), where the
@@ -73,7 +75,7 @@ class PermTables:
     permutations of that list."""
 
     def __init__(self, rs: RootSystem):
-        pos = np.array(rs.positive_roots, dtype=np.int64)
+        pos = np.array(positive_roots(rs), dtype=np.int64)
         n, m = rs.diagram.n, len(pos)
         coords = np.concatenate([pos, -pos])
         roots = [tuple(int(x) for x in c) for c in coords]
@@ -105,6 +107,12 @@ class PermTables:
         """Indices sorting rows by their key columns, lexicographically."""
         sub = rows[:, self.simple_cols]
         return np.lexsort(sub.T[::-1])
+
+
+@lru_cache(maxsize=None)
+def positive_roots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of `rs`, by the dense closure of its Cartan matrix."""
+    return tuple(dense_positive_root_closure(rs.cartan_rows, rs.diagram.n))
 
 
 @lru_cache(maxsize=None)
@@ -162,7 +170,7 @@ def permutation_closure(rs: RootSystem, rows: np.ndarray, gen_nodes,
 
 def pos_support(rs: RootSystem) -> np.ndarray:
     """Boolean (positive root x node) table: node j+1 in the root's support."""
-    return np.array([[x != 0 for x in c] for c in rs.positive_roots], dtype=bool)
+    return np.array([[x != 0 for x in c] for c in positive_roots(rs)], dtype=bool)
 
 
 def outside_levi_indices(rs: RootSystem, generators) -> np.ndarray:
