@@ -18,7 +18,7 @@ from enum import Enum
 from .dynkin import DynkinDiagram, Marking
 from .geometry import ParabolicPair, dim_flag, levi_split
 from .rootweyl import (DEFAULT_WEYL_LIMIT, GuardLimitError, RootSystem, descend,
-                       diagram_involution_table, orbit_counts, weyl_order)
+                       orbit_counts, weyl_order)
 
 DEFAULT_MAX_K = 32
 
@@ -64,7 +64,7 @@ def reduction(pair: ParabolicPair) -> ReductionResult:
                   + [q] * (q in psi_p))
         if starts:
             witness_starts.append((q, min(starts)))
-    reduced = Marking(q for q, _ in witness_starts)
+    reduced = tuple.__new__(Marking, [q for q, _ in witness_starts])  # in psi_q's order
     return ReductionResult(reduced, reduced == pair.psi_q, tuple(witness_starts))
 
 
@@ -195,8 +195,7 @@ def boundary_codim_class(rs: RootSystem, psi_p) -> BoundaryClass:
     its image under -w_0: fixed marking gives one affine cell, disjoint
     image gives codimension >= 2, partial overlap codimension one."""
     psi_p = Marking(psi_p).validate_on(rs.diagram)
-    iota = diagram_involution_table(rs)
-    image = Marking(iota[v] for v in psi_p)
+    image = Marking(rs.involution[v - 1] for v in psi_p)
     if image == psi_p:
         return BoundaryClass.AFFINE_CELL
     if not set(image) & set(psi_p):
@@ -251,8 +250,10 @@ def exception_flags(pair: ParabolicPair) -> ExceptionFlags:
 
     The tangency-rigidity table is matched on (type, psi_p, psi_q) per
     factor; the larger-automorphism table is matched on the reduction of P
-    mod Q, the `reduction` of the swapped pair (first matching factor wins
-    on product diagrams).
+    mod Q (first matching factor wins on product diagrams): `reduction`'s
+    rule with the roles swapped, the p in psi_q and the p next to a
+    component of D minus psi_p that meets psi_q, read off the memoised
+    `levi_split` of psi_p.
     """
     d = pair.diagram
     if not any(f.family in _TABLE_FAMILIES for f in d.factors):  # no entry can match
@@ -261,9 +262,12 @@ def exception_flags(pair: ParabolicPair) -> ExceptionFlags:
     notes = tuple(f"B{rank} tangency-table entry with i=1 has no node i-1; "
                   "pair left unflagged (see README)"
                   for fam, rank, p, q in local if fam == "B" and p == (1,) and q == (rank,))
-    swapped = ParabolicPair.of_valid(pair.roots, pair.psi_q, pair.psi_p)
+    q = set(pair.psi_q)
+    # a component's neighbours outside it are in psi_p, as it is maximal
+    kept = q.union(*(d.adjacency[v] for comp in levi_split(pair.roots, pair.psi_p)
+                     if not q.isdisjoint(comp) for v in comp))
     case = None
-    for fam, rank, p, _ in _local_markings(d, reduction(swapped).reduced_marking, Marking()):
+    for fam, rank, p, _ in _local_markings(d, [p for p in pair.psi_p if p in kept], ()):
         if fam == "C" and p == (1,):
             case = LargerAutomorphismCase.ODD_SYMPLECTIC_PROJECTIVE
         elif fam == "B" and p == (rank,):

@@ -184,16 +184,18 @@ class Marking(tuple):
             d.check_node(v)
         return self
 
+    # built with tuple.__new__: `minus` and `intersect` keep self's order,
+    # already sorted and repeat-free, so only `union` sorts
     def union(self, other) -> "Marking":
-        return Marking((*self, *other))
+        return tuple.__new__(Marking, sorted({*self, *other}))
 
     def minus(self, other) -> "Marking":
         drop = set(other)
-        return Marking(v for v in self if v not in drop)
+        return tuple.__new__(Marking, [v for v in self if v not in drop])
 
     def intersect(self, other) -> "Marking":
         keep = set(other)
-        return Marking(v for v in self if v in keep)
+        return tuple.__new__(Marking, [v for v in self if v in keep])
 
     def issubset(self, other) -> bool:
         return set(self).issubset(other)

@@ -32,10 +32,11 @@ _LINEARITY_NOTE = ("cycle linearity not computed; the tangency exception "
 class PsiPContext:
     """What the reports of one psi_p share: the root system, the validated
     psi_p, dim G/P, its boundary class and whether to analyse chains; one
-    row per psi_q; and per red psi_q, on which alone the chains depend, its
-    `ChainAnalysis`.  `chain_options` (max_k, weyl_limit, with_sizes) go to
-    `chain_analysis` unchanged, which holds their defaults, so a misspelt
-    one raises its TypeError at the first chained row."""
+    row per psi_q; per red psi_q, on which alone the chains depend, its
+    `ChainAnalysis`; and per witness start (p, q), its path.
+    `chain_options` (max_k, weyl_limit, with_sizes) go to `chain_analysis`
+    unchanged, which holds their defaults, so a misspelt one raises its
+    TypeError at the first chained row."""
 
     def __init__(self, diagram: DynkinDiagram, psi_p, with_chains: bool = False,
                  **chain_options):
@@ -46,6 +47,7 @@ class PsiPContext:
         self.with_chains, self.chain_options = with_chains, chain_options
         self.rows: dict[Marking, tuple[ParabolicPair, ReductionResult, CycleDescriptor]] = {}
         self.chains: dict[Marking, ChainAnalysis] = {}
+        self.paths: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def row(self, psi_q: Marking) -> tuple[ParabolicPair, ReductionResult, CycleDescriptor]:
         """(pair, reduction, cycle) of (psi_p, psi_q), psi_q validated; made once.
@@ -66,6 +68,14 @@ class PsiPContext:
         if chains is None:
             chains = self.chains[red] = chain_analysis(self.row(red)[0], **self.chain_options)
         return chains
+
+    def path(self, p: int, q: int) -> tuple[int, ...]:
+        """The witness path from p to q, drawn once per context: `tree_path`
+        is a traced function, so it is memoised here, never at module level."""
+        path = self.paths.get((p, q))
+        if path is None:
+            path = self.paths[p, q] = tuple(tree_path(self.roots.diagram, p, q))
+        return path
 
 
 @dataclass
@@ -194,8 +204,7 @@ def report_to_dict(r: AnalysisReport) -> dict:
         "reduction": {
             "reduced": list(r.red.reduced_marking),
             "already_reduced": r.red.is_already_reduced,
-            "witnesses": {str(q): tree_path(pair.diagram, p, q)
-                          for q, p in r.red.witness_starts},
+            "witnesses": {str(q): list(r.context.path(p, q)) for q, p in r.red.witness_starts},
         },
         "quotient_marking": list(pair.intersection_marking),
         "connectivity": connectivity,
@@ -208,11 +217,13 @@ def report_to_dict(r: AnalysisReport) -> dict:
     }
 
 
+# made once: `json.dumps` with any option builds a new encoder per call
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+_INDENTED = json.JSONEncoder(indent=2)
+
+
 def render_json(r: AnalysisReport, compact: bool = False) -> str:
-    obj = report_to_dict(r)
-    if compact:
-        return json.dumps(obj, separators=(",", ":"))
-    return json.dumps(obj, indent=2)
+    return (_COMPACT if compact else _INDENTED).encode(report_to_dict(r))
 
 
 def tsv_header() -> str:

@@ -44,9 +44,9 @@ class GuardLimitError(RuntimeError):
 
 
 class RootSystem:
-    """Cartan matrix of a diagram, its number of positive roots, and the
-    memo tables of the per-marking functions.  Nothing keyed by a pair is
-    stored here."""
+    """Cartan matrix of a diagram, its number of positive roots, its
+    diagram involution -w_0, and the memo tables of the per-marking
+    functions.  Nothing keyed by a pair is stored here."""
 
     def __init__(self, diagram: DynkinDiagram):
         self.diagram = diagram
@@ -56,7 +56,11 @@ class RootSystem:
         # per node i, the (j, C[i][j]) of its neighbours j
         self.moves = tuple(tuple((j, c) for j, c in enumerate(row) if c and j != i)
                            for i, row in enumerate(cart))
-        self.num_positive = len(descend(self, [1] * n, range(n), []))
+        # the walk from the labels (1, ..., n), dominant and regular, to their
+        # w_0 image: one move per positive root, and it ends at -iota(j) at j
+        labels = list(range(1, n + 1))
+        self.num_positive = len(descend(self, labels, range(n), []))
+        self.involution = tuple(-x for x in labels)  # iota(j) at index j - 1
         # memo tables of `levi_walk`, `levi_split`, `cycle_descriptor`
         self.levi_walks, self.levi_splits, self.cycles = {}, {}, {}
 
@@ -105,16 +109,14 @@ def levi_walk(rs: RootSystem, psi: Marking) -> tuple[int, int]:
 
 
 def diagram_involution_table(rs: RootSystem) -> dict[int, int]:
-    """The diagram involution -w_0, i -> j where w_0(a_i) = -a_j: the walk
-    from the labels (1, ..., n) ends at their w_0 image, labelled -iota(j).
+    """The diagram involution -w_0, i -> j where w_0(a_i) = -a_j, as a new
+    dict: `rs.involution`, read off the walk that counts |Phi+|.
 
     >>> from parhom import parse_diagram_spec
     >>> diagram_involution_table(generate_roots(parse_diagram_spec("E6")))
     {1: 6, 2: 2, 3: 5, 4: 4, 5: 3, 6: 1}
     """
-    m = list(range(1, rs.diagram.n + 1))
-    descend(rs, m, range(rs.diagram.n), [])
-    return {j: -x for j, x in enumerate(m, 1)}
+    return dict(enumerate(rs.involution, 1))
 
 
 def weyl_order(rs: RootSystem, psi=()) -> int:

@@ -97,15 +97,22 @@ def brute_force_reduction(pair: ParabolicPair) -> Marking:
     return Marking(meet)
 
 
-def larger_automorphism_case(pair: ParabolicPair):
-    """The larger-automorphism entry matched on P mod Q = the reduction of
-    (psi_q, psi_p); first matching factor wins."""
+def larger_automorphism_cases(pair: ParabolicPair) -> list[LargerAutomorphismCase]:
+    """The larger-automorphism entry of each factor matched on P mod Q = the
+    reduction of (psi_q, psi_p), in factor order."""
     p_reduced = reduction(swapped(pair)).reduced_marking
+    cases = []
     for fam, rank, p, _ in _local_markings(pair.diagram, p_reduced, Marking(())):
         if fam == "C" and p == (1,):
-            return LargerAutomorphismCase.ODD_SYMPLECTIC_PROJECTIVE
-        if fam == "B" and p == (rank,):
-            return LargerAutomorphismCase.SPINOR_ODD_ORTHOGONAL
-        if fam == "G" and p == (1,):
-            return LargerAutomorphismCase.G2_QUADRIC
-    return None
+            cases.append(LargerAutomorphismCase.ODD_SYMPLECTIC_PROJECTIVE)
+        elif fam == "B" and p == (rank,):
+            cases.append(LargerAutomorphismCase.SPINOR_ODD_ORTHOGONAL)
+        elif fam == "G" and p == (1,):
+            cases.append(LargerAutomorphismCase.G2_QUADRIC)
+    return cases
+
+
+def larger_automorphism_case(pair: ParabolicPair):
+    """The table's answer: the first matching factor wins."""
+    cases = larger_automorphism_cases(pair)
+    return cases[0] if cases else None

@@ -148,22 +148,34 @@ def test_sweep_call_budget(monkeypatch):
     assert counts["markings"] <= len(rows) + 4 * 2 ** 6 + 2 * calls["dynkin.relabel_to_standard"]
 
 
-@pytest.mark.parametrize("spec,reductions", [("E6", 1), ("B5", 2), ("A3xB3", 2)])
-def test_sweep_makes_each_row_once(spec, reductions):
+@pytest.mark.parametrize("spec", ["E6", "B5", "A3xB3"])
+def test_sweep_makes_each_row_once(spec):
     """Exact call counts of a cold TSV sweep: the context of a psi_p makes
     each row, reduction and cycle once, also when another row needs it as
-    its reduced pair.  On a B or C factor the exception lookup reduces the
-    swapped pair of every row as well.  A cycle's root system is looked up
-    when its type is first met, not on every row."""
+    its reduced pair.  The exception lookup reads P mod Q off the split of
+    D minus psi_p, so on a B or C factor too it reduces no second pair.  A
+    cycle's root system is looked up when its type is first met, not on
+    every row."""
     generate_roots.cache_clear()
     spans, out = traced(["enumerate", "--type", spec])
     rows = len(out.splitlines()) - 1
     n = parse_diagram_spec(spec).n
     assert rows == (2 ** n - 1) * 2 ** n
     assert spans.calls["geometry.cycle_descriptor"] == rows
-    assert spans.calls["connectivity.reduction"] == reductions * rows
+    assert spans.calls["connectivity.reduction"] == rows
     if spec == "E6":
         assert spans.calls["rootweyl.generate_roots"] <= 600
+
+
+def test_json_sweep_draws_each_witness_path_once():
+    """The context of a psi_p draws the path of each witness start (p, q)
+    once, for all its rows that print it: a JSON sweep makes one
+    `tree_path` call per distinct (psi_p, q, p) in the printed rows."""
+    spans, out = traced(["enumerate", "--type", "E6", "--format", "json"])
+    starts = {(tuple(row["input"]["psi_p"]), q, path[0])
+              for row in map(json.loads, out.splitlines())
+              for q, path in row["reduction"]["witnesses"].items()}
+    assert spans.calls["dynkin.tree_path"] == len(starts)
 
 
 @pytest.mark.parametrize("fmt", ["", " --format json"])

@@ -1,9 +1,10 @@
-"""The component-split `reduction` and `is_separating` against their
-path-walking oracles, exhaustively at low rank and by Hypothesis on random
-diagrams of rank <= 8, reduced-pair invariance of the cycle and of the
-chain scan, the chain scan's Demazure lengths against the oracle's, its
-first length against |Phi+| - dim G/P, its orbit sizes against the
-permutation-row scan and the full-orbit scan, and the scan's letter step
+"""`Marking`'s set operations against Python's sets, the component-split
+`reduction` and `is_separating` against their path-walking oracles,
+exhaustively at low rank and by Hypothesis on random diagrams of rank
+<= 8, reduced-pair invariance of the cycle and of the chain scan, the
+chain scan's Demazure lengths against the oracle's, its first length
+against |Phi+| - dim G/P, its orbit sizes against the permutation-row
+scan and the full-orbit scan, and the scan's letter step
 `reflection_closure` against a set oracle."""
 
 import random
@@ -55,6 +56,22 @@ def pairs_and_chi(draw, max_rank=8):
     d = draw(diagrams(max_rank))
     marking = st.sets(st.integers(1, d.n)).map(Marking)
     return ParabolicPair(d, draw(marking), draw(marking)), draw(marking)
+
+
+@PROPERTY_SETTINGS
+@given(st.sets(st.integers(1, 40)).map(Marking), st.lists(st.integers(1, 40)))
+def test_marking_set_operations(marking, other):
+    """`union`, `intersect` and `minus` skip `Marking.__new__`, so check
+    what it would give: a sorted, repeat-free Marking equal to the set
+    operation, which `Marking` hands back as it is.  `other` may be any
+    iterable of nodes, unsorted and with repeats."""
+    for op, want in ((marking.union, set(marking) | set(other)),
+                     (marking.intersect, set(marking) & set(other)),
+                     (marking.minus, set(marking) - set(other))):
+        got = op(other)
+        assert type(got) is Marking
+        assert list(got) == sorted(want)
+        assert Marking(got) is got
 
 
 @pytest.mark.parametrize("spec", ["A4", "B4", "C4", "D5", "F4", "G2", "A2xG2", "E6"])
